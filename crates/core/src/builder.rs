@@ -26,7 +26,7 @@
 
 use crate::element::Branch;
 use crate::error::{CoreError, Result};
-use crate::tree::{NodeData, NodeId, RcTree};
+use crate::tree::{name_index, NodeData, NodeId, RcTree};
 use crate::units::{Farads, Ohms};
 
 /// Default name given to the input node.
@@ -55,16 +55,11 @@ impl RcTreeBuilder {
 
     /// Creates a builder whose input node carries the given name.
     pub fn with_input_name(name: impl Into<String>) -> Self {
-        RcTreeBuilder {
-            nodes: vec![NodeData {
-                name: name.into(),
-                parent: None,
-                branch: None,
-                cap: Farads::ZERO,
-                children: Vec::new(),
-                output: false,
-            }],
-        }
+        let name = name.into();
+        let name_hash = name_index::hash(&name);
+        let mut nodes = vec![NodeData::new(name, name_hash, None, None)];
+        name_index::push(&mut nodes);
+        RcTreeBuilder { nodes }
     }
 
     /// The input node id (always valid).
@@ -72,20 +67,24 @@ impl RcTreeBuilder {
         NodeId::INPUT
     }
 
+    /// Reserves room for at least `additional` more nodes, so a caller that
+    /// knows the tree's size grows the node table once.
+    pub fn reserve(&mut self, additional: usize) {
+        self.nodes.reserve_exact(additional);
+    }
+
     /// Number of nodes added so far, including the input.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
     }
 
-    /// Looks up a previously added node by name.
+    /// Looks up a previously added node by name, in expected `O(1)` time.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::NameNotFound`] if no node has the given name.
     pub fn node_by_name(&self, name: &str) -> Result<NodeId> {
-        self.nodes
-            .iter()
-            .position(|n| n.name == name)
+        name_index::find(&self.nodes, name)
             .map(NodeId)
             .ok_or_else(|| CoreError::NameNotFound {
                 name: name.to_string(),
@@ -195,18 +194,14 @@ impl RcTreeBuilder {
         if parent.0 >= self.nodes.len() {
             return Err(CoreError::NodeNotFound { node: parent });
         }
-        if self.nodes.iter().any(|n| n.name == name) {
+        let name_hash = name_index::hash(&name);
+        if name_index::find_hashed(&self.nodes, &name, name_hash).is_some() {
             return Err(CoreError::DuplicateName { name });
         }
         let id = NodeId(self.nodes.len());
-        self.nodes.push(NodeData {
-            name,
-            parent: Some(parent),
-            branch: Some(branch),
-            cap: Farads::ZERO,
-            children: Vec::new(),
-            output: false,
-        });
+        self.nodes
+            .push(NodeData::new(name, name_hash, Some(parent), Some(branch)));
+        name_index::push(&mut self.nodes);
         self.nodes[parent.0].children.push(id);
         Ok(id)
     }
@@ -299,6 +294,30 @@ mod tests {
         assert_eq!(b.node_by_name("w1").unwrap(), a);
         assert!(b.node_by_name("nope").is_err());
         assert_eq!(b.node_count(), 2);
+    }
+
+    #[test]
+    fn name_lookups_hold_across_index_growth() {
+        let mut b = RcTreeBuilder::new();
+        let mut prev = b.input();
+        for i in 0..300 {
+            prev = b
+                .add_resistor(prev, format!("n{i}"), Ohms::new(1.0))
+                .unwrap();
+            for j in [0, i / 2, i] {
+                assert_eq!(b.node_by_name(&format!("n{j}")).unwrap().index(), j + 1);
+            }
+            let err = b
+                .add_resistor(b.input(), format!("n{}", i / 3), Ohms::new(1.0))
+                .unwrap_err();
+            assert!(matches!(err, CoreError::DuplicateName { .. }));
+        }
+        assert_eq!(b.node_by_name(INPUT_NAME).unwrap(), b.input());
+        assert!(b.node_by_name("n300").is_err());
+        let tree = b.build().unwrap();
+        for id in tree.node_ids() {
+            assert_eq!(tree.node_by_name(tree.name(id).unwrap()).unwrap(), id);
+        }
     }
 
     #[test]

@@ -92,13 +92,11 @@
 //! # }
 //! ```
 
-use std::collections::HashSet;
-
 use crate::batch::BatchTimes;
 use crate::element::Branch;
 use crate::error::{CoreError, Result};
 use crate::moments::CharacteristicTimes;
-use crate::tree::{NodeId, RcTree};
+use crate::tree::{name_index, NodeId, RcTree};
 use crate::units::{Farads, Seconds};
 
 /// Raw (un-normalised) characteristic-time state of every node: the shared
@@ -629,15 +627,11 @@ impl EditableTree {
                 return Err(CoreError::InvalidValue { what, value: v });
             }
         }
-        {
-            let host_names: HashSet<&str> =
-                self.tree.nodes.iter().map(|n| n.name.as_str()).collect();
-            for data in &subtree.nodes {
-                if host_names.contains(data.name.as_str()) {
-                    return Err(CoreError::DuplicateName {
-                        name: data.name.clone(),
-                    });
-                }
+        for data in &subtree.nodes {
+            if name_index::find(&self.tree.nodes, &data.name).is_some() {
+                return Err(CoreError::DuplicateName {
+                    name: data.name.clone(),
+                });
             }
         }
 
@@ -664,6 +658,7 @@ impl EditableTree {
                 *c = NodeId(n_old + c.index());
             }
             self.tree.nodes.push(d);
+            name_index::push(&mut self.tree.nodes);
         }
         self.tree.nodes[gp].children.push(NodeId(n_old));
 
@@ -803,6 +798,7 @@ impl EditableTree {
             }
             kept.push(data);
         }
+        name_index::relink(&mut kept);
         self.tree.nodes = kept;
 
         // Compact the cache and base arrays in lockstep.
@@ -1045,6 +1041,60 @@ mod tests {
         let prune = eco.tree().node_by_name("g0").unwrap();
         eco.apply(&TreeEdit::PruneSubtree { node: prune }).unwrap();
         assert_eq!(eco.tree().node_count(), 4);
+        assert_matches_rebuild(&eco);
+    }
+
+    /// Every node's name looks up to that node, and a missing name to
+    /// nothing.
+    fn assert_names_resolve(tree: &RcTree) {
+        for id in tree.node_ids() {
+            assert_eq!(tree.node_by_name(tree.name(id).unwrap()).unwrap(), id);
+        }
+        assert!(tree.node_by_name("no such node").is_err());
+    }
+
+    #[test]
+    fn name_lookups_survive_grafts_and_prunes_across_index_growth() {
+        let mut eco = EditableTree::new(branching_tree());
+        // A 40-node chain grafted under `a` takes the host from 5 to 45
+        // nodes, across two doublings of the name index.
+        let mut gb = RcTreeBuilder::with_input_name("c0");
+        let mut prev = gb.input();
+        for i in 1..40 {
+            prev = gb
+                .add_resistor(prev, format!("c{i}"), Ohms::new(1.0))
+                .unwrap();
+        }
+        gb.add_capacitance(prev, Farads::new(1.0)).unwrap();
+        let parent = eco.tree().node_by_name("a").unwrap();
+        eco.apply(&TreeEdit::GraftSubtree {
+            parent,
+            via: Branch::resistor(Ohms::new(2.0)),
+            subtree: Box::new(gb.build().unwrap()),
+        })
+        .unwrap();
+        assert_names_resolve(eco.tree());
+
+        // A second graft of an already-used name is refused.
+        let mut dup = RcTreeBuilder::with_input_name("fresh");
+        let c7 = dup.add_resistor(dup.input(), "c7", Ohms::new(1.0)).unwrap();
+        dup.add_capacitance(c7, Farads::new(1.0)).unwrap();
+        let err = eco
+            .apply(&TreeEdit::GraftSubtree {
+                parent,
+                via: Branch::resistor(Ohms::new(2.0)),
+                subtree: Box::new(dup.build().unwrap()),
+            })
+            .unwrap_err();
+        assert!(matches!(err, CoreError::DuplicateName { ref name } if name == "c7"));
+
+        // Pruning the middle of the chain renumbers the survivors and
+        // shrinks the index back below a power of two.
+        let prune = eco.tree().node_by_name("c20").unwrap();
+        eco.apply(&TreeEdit::PruneSubtree { node: prune }).unwrap();
+        assert!(eco.tree().node_by_name("c20").is_err());
+        assert!(eco.tree().node_by_name("c39").is_err());
+        assert_names_resolve(eco.tree());
         assert_matches_rebuild(&eco);
     }
 

@@ -85,7 +85,10 @@ impl TraversalCache {
     fn build(nodes: &[NodeData]) -> Self {
         let n = nodes.len();
         let mut preorder = Vec::with_capacity(n);
-        let mut stack = vec![0u32];
+        // The walk's stack never holds more than `n` ids; once empty, its
+        // buffer is reused for `pre_index`.
+        let mut stack = Vec::with_capacity(n);
+        stack.push(0u32);
         while let Some(i) = stack.pop() {
             preorder.push(i);
             for &child in nodes[i as usize].children.iter().rev() {
@@ -127,7 +130,7 @@ impl TraversalCache {
             node_cap,
             path_r,
             down_cap,
-            pre_index: Vec::new(),
+            pre_index: stack,
             subtree_end: Vec::new(),
         };
         cache.rebuild_intervals();
@@ -164,7 +167,7 @@ impl TraversalCache {
 }
 
 /// Per-node payload stored by [`RcTree`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub(crate) struct NodeData {
     /// Human-readable name, unique within the tree.
@@ -180,6 +183,139 @@ pub(crate) struct NodeData {
     pub(crate) children: Vec<NodeId>,
     /// Whether this node is marked as an output of interest.
     pub(crate) output: bool,
+    /// Hash of `name`, kept for the intrusive name index (see
+    /// [`name_index`]).
+    pub(crate) name_hash: u32,
+    /// Next node in the same name-index bucket ([`name_index::NIL`] ends
+    /// the chain).
+    pub(crate) name_next: u32,
+    /// Head of the name-index bucket numbered by this node's index.
+    pub(crate) bucket_head: u32,
+}
+
+impl NodeData {
+    /// A node with no capacitance, children or output mark, not yet linked
+    /// into the name index; `name_hash` is [`name_index::hash`] of `name`.
+    pub(crate) fn new(
+        name: String,
+        name_hash: u32,
+        parent: Option<NodeId>,
+        branch: Option<Branch>,
+    ) -> Self {
+        NodeData {
+            name_hash,
+            name,
+            parent,
+            branch,
+            cap: Farads::ZERO,
+            children: Vec::new(),
+            output: false,
+            name_next: name_index::NIL,
+            bucket_head: name_index::NIL,
+        }
+    }
+}
+
+/// Equality of the node payload; the name-index links are derived state
+/// and do not take part.
+impl PartialEq for NodeData {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name
+            && self.parent == other.parent
+            && self.branch == other.branch
+            && self.cap == other.cap
+            && self.children == other.children
+            && self.output == other.output
+    }
+}
+
+/// An intrusive hash index from node names to node indices, stored inside
+/// the node table itself so that it costs no allocation of its own.
+///
+/// The table has `B` buckets, `B` the largest power of two not above the
+/// node count, so the load factor stays in `[1, 2)`.  Bucket `b`'s chain
+/// starts at `nodes[b].bucket_head` and continues through `name_next`.
+/// Appending a node links it in `O(1)`; when the count reaches the next
+/// power of two every node is relinked into twice the buckets, which is
+/// `O(1)` amortised.  Lookups cost one hash and an expected `O(1)` chain
+/// walk, so building or querying an `n`-node tree by name is `O(n)`
+/// rather than the `O(n²)` of a linear scan per name.
+pub(crate) mod name_index {
+    use std::collections::hash_map::RandomState;
+    use std::hash::BuildHasher;
+    use std::sync::OnceLock;
+
+    use super::NodeData;
+
+    /// Chain terminator.
+    pub(crate) const NIL: u32 = u32::MAX;
+
+    /// Hash of a node name: the standard library's keyed hash under one
+    /// random key per process.  Names come from netlists, so the key keeps
+    /// anyone from crafting names that share a chain; one key for every
+    /// tree keeps stored hashes valid when a subtree is grafted.
+    pub(crate) fn hash(name: &str) -> u32 {
+        static KEY: OnceLock<RandomState> = OnceLock::new();
+        let h = KEY.get_or_init(RandomState::new).hash_one(name);
+        (h ^ (h >> 32)) as u32
+    }
+
+    /// Bucket mask for a table of `len` nodes (`len >= 1`).
+    fn mask(len: usize) -> usize {
+        (1usize << (usize::BITS - 1 - len.leading_zeros())) - 1
+    }
+
+    fn link(nodes: &mut [NodeData], i: usize, mask: usize) {
+        let b = nodes[i].name_hash as usize & mask;
+        nodes[i].name_next = nodes[b].bucket_head;
+        nodes[b].bucket_head = i as u32;
+    }
+
+    /// Links the last node of `nodes`, just appended.
+    pub(crate) fn push(nodes: &mut [NodeData]) {
+        let len = nodes.len();
+        if len.is_power_of_two() {
+            relink(nodes);
+        } else {
+            nodes[len - 1].bucket_head = NIL;
+            link(nodes, len - 1, mask(len));
+        }
+    }
+
+    /// Rebuilds every link from the names (after nodes were removed).
+    pub(crate) fn relink(nodes: &mut [NodeData]) {
+        if nodes.is_empty() {
+            return;
+        }
+        for n in nodes.iter_mut() {
+            n.bucket_head = NIL;
+        }
+        let mask = mask(nodes.len());
+        for i in 0..nodes.len() {
+            link(nodes, i, mask);
+        }
+    }
+
+    /// Index of the node called `name`, if any.
+    pub(crate) fn find(nodes: &[NodeData], name: &str) -> Option<usize> {
+        find_hashed(nodes, name, hash(name))
+    }
+
+    /// [`find`] with the name's [`hash`] already at hand.
+    pub(crate) fn find_hashed(nodes: &[NodeData], name: &str, name_hash: u32) -> Option<usize> {
+        if nodes.is_empty() {
+            return None;
+        }
+        let mut i = nodes[name_hash as usize & mask(nodes.len())].bucket_head;
+        while i != NIL {
+            let n = &nodes[i as usize];
+            if n.name_hash == name_hash && n.name == name {
+                return Some(i as usize);
+            }
+            i = n.name_next;
+        }
+        None
+    }
 }
 
 /// A validated RC tree network.
@@ -210,7 +346,9 @@ pub struct RcTree {
     ///
     /// NOTE for restoring the (currently placeholder) `serde` feature: a
     /// plain derived `Deserialize` would leave this cache empty — the impl
-    /// must route through [`RcTree::from_nodes`] so the cache is rebuilt.
+    /// must route through [`RcTree::from_nodes`] so the cache is rebuilt,
+    /// and recompute each node's `name_hash` and call
+    /// [`name_index::relink`], since the hash key is per process.
     #[cfg_attr(feature = "serde", serde(skip))]
     pub(crate) cache: TraversalCache,
 }
@@ -286,15 +424,13 @@ impl RcTree {
         Ok(&self.data(node)?.name)
     }
 
-    /// Looks up a node by name.
+    /// Looks up a node by name, in expected `O(1)` time.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::NameNotFound`] if no node has the given name.
     pub fn node_by_name(&self, name: &str) -> Result<NodeId> {
-        self.nodes
-            .iter()
-            .position(|n| n.name == name)
+        name_index::find(&self.nodes, name)
             .map(NodeId)
             .ok_or_else(|| CoreError::NameNotFound {
                 name: name.to_string(),

@@ -74,9 +74,13 @@ pub fn parse_spef(text: &str) -> Result<Vec<SpefNet>> {
         if line.is_empty() {
             continue;
         }
-        if let Some((name, total)) = units.scan_top_level(line, line_no)? {
-            let net = parse_d_net(&mut lines, name, line_no, total, units.r, units.c)?;
-            nets.push(net);
+        if let Some((name, declared_total_cap)) = units.scan_top_level(line, line_no)? {
+            let tree = parse_d_net(&mut lines, &name, line_no, units.r, units.c)?;
+            nets.push(SpefNet {
+                name,
+                declared_total_cap,
+                tree,
+            });
         }
     }
 
@@ -116,22 +120,21 @@ impl Units {
         line: &str,
         line_no: usize,
     ) -> Result<Option<(String, f64)>> {
-        let upper = line.to_ascii_uppercase();
-        if upper.starts_with("*R_UNIT") {
+        if has_directive(line, "*R_UNIT") {
             self.r = unit_scale(line, line_no, &["OHM", "KOHM"])?;
-        } else if upper.starts_with("*C_UNIT") {
+        } else if has_directive(line, "*C_UNIT") {
             self.c = unit_scale(line, line_no, &["FF", "PF", "NF", "UF", "F"])?;
-        } else if upper.starts_with("*D_NET") {
-            let tokens: Vec<&str> = line.split_whitespace().collect();
-            if tokens.len() < 3 {
+        } else if has_directive(line, "*D_NET") {
+            let tokens = Tokens::of(line);
+            if tokens.len < 3 {
                 return Err(NetlistError::parse_at(
                     line_no,
-                    tokens[0],
+                    tokens.head[0],
                     "*D_NET requires a name and a total capacitance",
                 ));
             }
-            let name = tokens[1].to_string();
-            let total = parse_value(tokens[2], line_no)? * self.c;
+            let name = tokens.head[1].to_string();
+            let total = parse_value(tokens.head[2], line_no)? * self.c;
             return Ok(Some((name, total)));
         }
         Ok(None)
@@ -201,7 +204,7 @@ fn split_deck(text: &str) -> Result<Vec<DeckSection>> {
             .unwrap_or(seg);
         let line = strip_comment(raw);
         if let Some(section) = open.as_mut() {
-            if line.to_ascii_uppercase().starts_with("*END") {
+            if has_directive(line, "*END") {
                 section.body.1 = offset;
                 sections.push(open.take().expect("section is open"));
             }
@@ -263,14 +266,18 @@ pub fn parse_spef_deck(text: &str, jobs: usize) -> Result<Vec<SpefNet>> {
             .lines()
             .enumerate()
             .map(|(k, raw)| (sec.header_line + k, raw));
-        parse_d_net(
+        let tree = parse_d_net(
             &mut body,
-            sec.name.clone(),
+            &sec.name,
             sec.header_line,
-            sec.declared_total_cap,
             sec.r_unit,
             sec.c_unit,
-        )
+        )?;
+        Ok(SpefNet {
+            name: sec.name.clone(),
+            declared_total_cap: sec.declared_total_cap,
+            tree,
+        })
     })
     .into_iter()
     .collect()
@@ -280,22 +287,66 @@ pub(crate) fn strip_comment(raw: &str) -> &str {
     raw.split("//").next().unwrap_or("").trim()
 }
 
+/// Whether `line` starts with the upper-case ASCII `directive`, compared
+/// case-insensitively in place (the same answer as upper-casing the line
+/// first, without the copy).
+pub(crate) fn has_directive(line: &str, directive: &str) -> bool {
+    line.as_bytes()
+        .get(..directive.len())
+        .is_some_and(|head| head.eq_ignore_ascii_case(directive.as_bytes()))
+}
+
+/// Whether a section-body line closes the section: `*END` (any case) after
+/// optional whitespace.  This is the same test as
+/// `has_directive(strip_comment(raw), "*END")` without building the
+/// stripped line: a leading `*END` comes before any `//` on its line, and
+/// a line that opens with `//` does not start with `*END` either way.
+pub(crate) fn closes_section(raw: &str) -> bool {
+    has_directive(raw.trim_start(), "*END")
+}
+
+/// The first [`Tokens::HEAD`] whitespace-separated tokens of a line, and
+/// how many tokens the line has in all — no SPEF-lite card needs more than
+/// four, so they live in a fixed array instead of a `Vec`.
+struct Tokens<'a> {
+    head: [&'a str; Tokens::HEAD],
+    len: usize,
+}
+
+impl<'a> Tokens<'a> {
+    const HEAD: usize = 4;
+
+    fn of(line: &'a str) -> Self {
+        let mut tokens = Tokens {
+            head: [""; Tokens::HEAD],
+            len: 0,
+        };
+        for token in line.split_whitespace() {
+            if let Some(slot) = tokens.head.get_mut(tokens.len) {
+                *slot = token;
+            }
+            tokens.len += 1;
+        }
+        tokens
+    }
+}
+
 fn unit_scale(line: &str, line_no: usize, accepted: &[&str]) -> Result<f64> {
-    let tokens: Vec<&str> = line.split_whitespace().collect();
-    if tokens.len() < 3 {
+    let tokens = Tokens::of(line);
+    if tokens.len < 3 {
         return Err(NetlistError::parse_at(
             line_no,
-            tokens[0],
+            tokens.head[0],
             format!("unit directive `{line}` requires a scale and a unit"),
         ));
     }
-    let scale = parse_value(tokens[1], line_no)?;
-    let unit = tokens[2].to_ascii_uppercase();
+    let scale = parse_value(tokens.head[1], line_no)?;
+    let unit = tokens.head[2].to_ascii_uppercase();
     if !accepted.contains(&unit.as_str()) {
         return Err(NetlistError::parse_at(
             line_no,
-            tokens[2],
-            format!("unsupported unit `{}`", tokens[2]),
+            tokens.head[2],
+            format!("unsupported unit `{}`", tokens.head[2]),
         ));
     }
     let unit_factor = match unit.as_str() {
@@ -311,21 +362,23 @@ fn unit_scale(line: &str, line_no: usize, accepted: &[&str]) -> Result<f64> {
     Ok(scale * unit_factor)
 }
 
+/// Parses the body of one `*D_NET` section (every line after the header)
+/// into the net's tree.  `name` is the net name, used in error messages;
+/// lines are `(0-based document line index, text)`.
 pub(crate) fn parse_d_net<'a, I>(
     lines: &mut I,
-    name: String,
+    name: &str,
     header_line: usize,
-    declared_total_cap: f64,
     r_unit: f64,
     c_unit: f64,
-) -> Result<SpefNet>
+) -> Result<RcTree>
 where
     I: Iterator<Item = (usize, &'a str)>,
 {
     let mut section = Section::Preamble;
-    let mut driver: Option<String> = None;
-    let mut outputs: Vec<(usize, String)> = Vec::new();
-    let mut caps: Vec<(usize, String, f64)> = Vec::new();
+    let mut driver: Option<&str> = None;
+    let mut outputs: Vec<(usize, &str)> = Vec::new();
+    let mut caps: Vec<(usize, &str, f64)> = Vec::new();
     let mut branches: Vec<BranchCard> = Vec::new();
 
     for (idx, raw) in lines.by_ref() {
@@ -334,78 +387,68 @@ where
         if line.is_empty() {
             continue;
         }
-        let upper = line.to_ascii_uppercase();
-        if upper.starts_with("*END") {
+        if has_directive(line, "*END") {
             let input = driver.ok_or_else(|| {
-                NetlistError::parse_at(
-                    line_no,
-                    name.as_str(),
-                    format!("net `{name}` has no *I driver pin"),
-                )
+                NetlistError::parse_at(line_no, name, format!("net `{name}` has no *I driver pin"))
             })?;
-            let tree = build_tree(&input, &branches, &caps, &outputs)?;
-            return Ok(SpefNet {
-                name,
-                declared_total_cap,
-                tree,
-            });
+            return build_tree(input, &branches, &caps, &outputs);
         }
-        if upper.starts_with("*CONN") {
+        if has_directive(line, "*CONN") {
             section = Section::Conn;
             continue;
         }
-        if upper.starts_with("*CAP") {
+        if has_directive(line, "*CAP") {
             section = Section::Cap;
             continue;
         }
-        if upper.starts_with("*RES") {
+        if has_directive(line, "*RES") {
             section = Section::Res;
             continue;
         }
-        if upper.starts_with("*I ") || upper.starts_with("*P ") {
-            let tokens: Vec<&str> = line.split_whitespace().collect();
+        if has_directive(line, "*I ") || has_directive(line, "*P ") {
+            let tokens = Tokens::of(line);
             if section != Section::Conn {
                 return Err(NetlistError::parse_at(
                     line_no,
-                    tokens[0],
+                    tokens.head[0],
                     "pin declarations must appear inside *CONN",
                 ));
             }
-            if tokens.len() < 3 {
+            if tokens.len < 3 {
                 return Err(NetlistError::parse_at(
                     line_no,
-                    tokens[0],
+                    tokens.head[0],
                     "pin declaration requires a name and a direction",
                 ));
             }
-            let pin = tokens[1].to_string();
-            match tokens[2].to_ascii_uppercase().as_str() {
-                "I" => {
-                    if driver.replace(pin).is_some() {
-                        return Err(NetlistError::NotATree {
-                            message: format!("net `{name}` declares more than one driver"),
-                        });
-                    }
+            let pin = tokens.head[1];
+            let direction = tokens.head[2];
+            if direction.eq_ignore_ascii_case("I") {
+                if driver.replace(pin).is_some() {
+                    return Err(NetlistError::NotATree {
+                        message: format!("net `{name}` declares more than one driver"),
+                    });
                 }
-                "O" => outputs.push((line_no, pin)),
-                other => {
-                    return Err(NetlistError::parse_at(
-                        line_no,
-                        other,
-                        format!("unknown pin direction `{other}`"),
-                    ));
-                }
+            } else if direction.eq_ignore_ascii_case("O") {
+                outputs.push((line_no, pin));
+            } else {
+                let other = direction.to_ascii_uppercase();
+                return Err(NetlistError::parse_at(
+                    line_no,
+                    other.as_str(),
+                    format!("unknown pin direction `{other}`"),
+                ));
             }
             continue;
         }
 
         match section {
             Section::Cap => {
-                let tokens: Vec<&str> = line.split_whitespace().collect();
-                match tokens.len() {
+                let tokens = Tokens::of(line);
+                match tokens.len {
                     3 => {
-                        let value = parse_value(tokens[2], line_no)? * c_unit;
-                        caps.push((line_no, tokens[1].to_string(), value));
+                        let value = parse_value(tokens.head[2], line_no)? * c_unit;
+                        caps.push((line_no, tokens.head[1], value));
                     }
                     4 => {
                         return Err(NetlistError::FloatingCapacitor { line: line_no });
@@ -413,29 +456,27 @@ where
                     _ => {
                         return Err(NetlistError::parse_at(
                             line_no,
-                            tokens.first().copied().unwrap_or(""),
+                            tokens.head[0],
                             "*CAP entry requires: index node value",
                         ));
                     }
                 }
             }
             Section::Res => {
-                let tokens: Vec<&str> = line.split_whitespace().collect();
-                if tokens.len() < 4 {
+                let tokens = Tokens::of(line);
+                if tokens.len < 4 {
                     return Err(NetlistError::parse_at(
                         line_no,
-                        tokens[0],
+                        tokens.head[0],
                         "*RES entry requires: index node node value",
                     ));
                 }
-                let value = parse_value(tokens[3], line_no)? * r_unit;
-                branches.push(BranchCard::new(
+                let value = parse_value(tokens.head[3], line_no)? * r_unit;
+                branches.push(BranchCard::resistor(
                     line_no,
-                    tokens[1].to_string(),
-                    tokens[2].to_string(),
+                    tokens.head[1],
+                    tokens.head[2],
                     value,
-                    0.0,
-                    false,
                 ));
             }
             Section::Conn | Section::Preamble => {
@@ -452,7 +493,7 @@ where
     // "line 0" once the rest of the document had been consumed).
     Err(NetlistError::parse_at(
         header_line,
-        name.as_str(),
+        name,
         format!("net `{name}` is missing its *END line"),
     ))
 }

@@ -29,11 +29,11 @@
 //! input (single drive point, no loops, everything connected), mirroring the
 //! paper's definition of an RC tree.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use rctree_core::builder::RcTreeBuilder;
 use rctree_core::element::Branch;
-use rctree_core::tree::RcTree;
+use rctree_core::tree::{NodeId, RcTree};
 use rctree_core::units::{Farads, Ohms};
 
 use crate::error::{NetlistError, Result};
@@ -43,12 +43,12 @@ use crate::value::{format_value, parse_value};
 pub const DEFAULT_INPUT: &str = "in";
 
 /// A parsed resistive branch card (resistor or uniform line) shared between
-/// the SPICE and SPEF parsers.
+/// the SPICE and SPEF parsers; node names borrow the source text.
 #[derive(Debug, Clone)]
-pub(crate) struct BranchCard {
+pub(crate) struct BranchCard<'a> {
     line: usize,
-    node_a: String,
-    node_b: String,
+    node_a: &'a str,
+    node_b: &'a str,
     resistance: f64,
     capacitance: f64,
     distributed: bool,
@@ -65,9 +65,9 @@ pub(crate) struct BranchCard {
 /// elements.
 pub fn parse_spice(deck: &str) -> Result<RcTree> {
     let mut branches: Vec<BranchCard> = Vec::new();
-    let mut caps: Vec<(usize, String, f64)> = Vec::new();
-    let mut input: Option<String> = None;
-    let mut outputs: Vec<(usize, String)> = Vec::new();
+    let mut caps: Vec<(usize, &str, f64)> = Vec::new();
+    let mut input: Option<&str> = None;
+    let mut outputs: Vec<(usize, &str)> = Vec::new();
 
     for (idx, raw_line) in deck.lines().enumerate() {
         let line_no = idx + 1;
@@ -85,7 +85,7 @@ pub fn parse_spice(deck: &str) -> Result<RcTree> {
             let name = tokens.get(1).ok_or_else(|| {
                 NetlistError::parse_at(line_no, tokens[0], ".input requires a node name")
             })?;
-            input = Some((*name).to_string());
+            input = Some(name);
             continue;
         }
         if head == ".output" {
@@ -96,7 +96,7 @@ pub fn parse_spice(deck: &str) -> Result<RcTree> {
                     ".output requires at least one node name",
                 ));
             }
-            outputs.extend(tokens[1..].iter().map(|s| (line_no, s.to_string())));
+            outputs.extend(tokens[1..].iter().map(|&s| (line_no, s)));
             continue;
         }
         if head.starts_with('.') {
@@ -107,21 +107,13 @@ pub fn parse_spice(deck: &str) -> Result<RcTree> {
         match head.chars().next() {
             Some('r') => {
                 let (a, b, v) = three_fields(&tokens, line_no)?;
-                branches.push(BranchCard {
-                    line: line_no,
-                    node_a: a,
-                    node_b: b,
-                    resistance: v,
-                    capacitance: 0.0,
-                    distributed: false,
-                });
+                branches.push(BranchCard::resistor(line_no, a, b, v));
             }
             Some('c') => {
-                let (a, b, v) = three_fields(&tokens, line_no)?;
-                let (node, other) = (a.clone(), b.clone());
-                if is_ground(&other) {
+                let (node, other, v) = three_fields(&tokens, line_no)?;
+                if is_ground(other) {
                     caps.push((line_no, node, v));
-                } else if is_ground(&node) {
+                } else if is_ground(node) {
                     caps.push((line_no, other, v));
                 } else {
                     return Err(NetlistError::FloatingCapacitor { line: line_no });
@@ -139,8 +131,8 @@ pub fn parse_spice(deck: &str) -> Result<RcTree> {
                 let c = parse_value(tokens[4], line_no)?;
                 branches.push(BranchCard {
                     line: line_no,
-                    node_a: tokens[1].to_string(),
-                    node_b: tokens[2].to_string(),
+                    node_a: tokens[1],
+                    node_b: tokens[2],
                     resistance: r,
                     capacitance: c,
                     distributed: true,
@@ -160,11 +152,10 @@ pub fn parse_spice(deck: &str) -> Result<RcTree> {
         return Err(NetlistError::Empty);
     }
 
-    let input_name = input.unwrap_or_else(|| DEFAULT_INPUT.to_string());
-    build_tree(&input_name, &branches, &caps, &outputs)
+    build_tree(input.unwrap_or(DEFAULT_INPUT), &branches, &caps, &outputs)
 }
 
-fn three_fields(tokens: &[&str], line: usize) -> Result<(String, String, f64)> {
+fn three_fields<'a>(tokens: &[&'a str], line: usize) -> Result<(&'a str, &'a str, f64)> {
     if tokens.len() < 4 {
         return Err(NetlistError::parse_at(
             line,
@@ -173,46 +164,47 @@ fn three_fields(tokens: &[&str], line: usize) -> Result<(String, String, f64)> {
         ));
     }
     let v = parse_value(tokens[3], line)?;
-    Ok((tokens[1].to_string(), tokens[2].to_string(), v))
+    Ok((tokens[1], tokens[2], v))
 }
 
 fn is_ground(name: &str) -> bool {
     name == "0" || name.eq_ignore_ascii_case("gnd") || name.eq_ignore_ascii_case("vss")
 }
 
-impl BranchCard {
-    pub(crate) fn new(
-        line: usize,
-        node_a: String,
-        node_b: String,
-        resistance: f64,
-        capacitance: f64,
-        distributed: bool,
-    ) -> Self {
+impl<'a> BranchCard<'a> {
+    /// A lumped resistor between two nodes.
+    pub(crate) fn resistor(line: usize, node_a: &'a str, node_b: &'a str, resistance: f64) -> Self {
         BranchCard {
             line,
             node_a,
             node_b,
             resistance,
-            capacitance,
-            distributed,
+            capacitance: 0.0,
+            distributed: false,
         }
     }
 }
 
 /// Assembles branch and capacitor cards into a validated [`RcTree`].
 ///
-/// Shared between the SPICE and SPEF parsers.
+/// Shared between the SPICE and SPEF parsers.  Node names are mapped once
+/// to dense `u32` ids (the input is id 0), and the walk from the input runs
+/// on those ids over a flat offset-indexed adjacency, so an `n`-node net
+/// costs `O(n)` expected time whatever its shape.  The walk visits nodes in
+/// exactly the order of a name-keyed stack walk, so node ids, error
+/// precedence and messages are fixed by the cards alone.
 pub(crate) fn build_tree(
     input_name: &str,
-    branches: &[BranchCard],
-    caps: &[(usize, String, f64)],
-    outputs: &[(usize, String)],
+    branches: &[BranchCard<'_>],
+    caps: &[(usize, &str, f64)],
+    outputs: &[(usize, &str)],
 ) -> Result<RcTree> {
-    // Adjacency of resistive branches.
-    let mut adjacency: HashMap<&str, Vec<usize>> = HashMap::new();
-    for (i, b) in branches.iter().enumerate() {
-        if is_ground(&b.node_a) || is_ground(&b.node_b) {
+    // Dense ids in first-appearance order, and each branch's endpoints.
+    let mut ids: HashMap<&str, u32> = HashMap::with_capacity(branches.len() + 1);
+    ids.insert(input_name, 0);
+    let mut ends: Vec<[u32; 2]> = Vec::with_capacity(branches.len());
+    for b in branches {
+        if is_ground(b.node_a) || is_ground(b.node_b) {
             return Err(NetlistError::NotATree {
                 message: format!(
                     "line {}: resistive element connects to ground, which an RC tree forbids",
@@ -220,42 +212,64 @@ pub(crate) fn build_tree(
                 ),
             });
         }
-        adjacency.entry(&b.node_a).or_default().push(i);
-        adjacency.entry(&b.node_b).or_default().push(i);
+        let mut id = |name| {
+            let next = ids.len() as u32;
+            *ids.entry(name).or_insert(next)
+        };
+        ends.push([id(b.node_a), id(b.node_b)]);
     }
+    let n = ids.len();
 
-    if !branches.is_empty() && !adjacency.contains_key(input_name) {
+    // Flat adjacency: the branches at node `v` are
+    // `edges[start[v]..start[v + 1]]`, in card order.
+    let mut start = vec![0u32; n + 1];
+    for &[a, b] in &ends {
+        start[a as usize + 1] += 1;
+        start[b as usize + 1] += 1;
+    }
+    if !branches.is_empty() && start[1] == 0 {
         return Err(NetlistError::UnknownInput {
             name: input_name.to_string(),
         });
     }
+    for v in 0..n {
+        start[v + 1] += start[v];
+    }
+    let mut edges = vec![0u32; 2 * ends.len()];
+    for (i, &[a, b]) in ends.iter().enumerate() {
+        for v in [a, b] {
+            let slot = &mut start[v as usize];
+            edges[*slot as usize] = i as u32;
+            *slot += 1;
+        }
+    }
+    // Filling advanced each node's start to the next node's; shift back.
+    start.copy_within(0..n, 1);
+    start[0] = 0;
+    let degree = |v: usize| start[v + 1] - start[v];
 
+    // Depth-first elaboration from the input; `node_of[v]` is the tree
+    // node of id `v` once visited (so it doubles as the visited set).
     let mut builder = RcTreeBuilder::with_input_name(input_name);
-    let mut visited: HashSet<String> = HashSet::new();
+    builder.reserve(n - 1);
+    let mut node_of: Vec<Option<NodeId>> = vec![None; n];
+    node_of[0] = Some(builder.input());
     let mut used = vec![false; branches.len()];
-    visited.insert(input_name.to_string());
-
-    // Breadth-first elaboration from the input.
-    let mut frontier = vec![input_name.to_string()];
-    while let Some(node) = frontier.pop() {
-        let parent_id = builder
-            .node_by_name(&node)
-            .expect("visited nodes are in the builder");
-        let Some(edges) = adjacency.get(node.as_str()) else {
-            continue;
-        };
-        for &edge in edges {
+    let mut frontier = vec![0u32];
+    while let Some(v) = frontier.pop() {
+        let parent_id = node_of[v as usize].expect("frontier nodes are visited");
+        let v_edges = start[v as usize] as usize..start[v as usize + 1] as usize;
+        for &edge in &edges[v_edges] {
+            let edge = edge as usize;
             if used[edge] {
                 continue;
             }
             let b = &branches[edge];
-            let other = if b.node_a == node {
-                &b.node_b
-            } else {
-                &b.node_a
-            };
+            let [a, bb] = ends[edge];
+            let other = if a == v { bb } else { a };
+            let other_name = if a == v { b.node_b } else { b.node_a };
             used[edge] = true;
-            if visited.contains(other) {
+            if node_of[other as usize].is_some() {
                 return Err(NetlistError::NotATree {
                     message: format!(
                         "line {}: element between `{}` and `{}` closes a loop",
@@ -266,16 +280,15 @@ pub(crate) fn build_tree(
             let child = if b.distributed {
                 builder.add_line(
                     parent_id,
-                    other.clone(),
+                    other_name,
                     Ohms::new(b.resistance),
                     Farads::new(b.capacitance),
                 )?
             } else {
-                builder.add_resistor(parent_id, other.clone(), Ohms::new(b.resistance))?
+                builder.add_resistor(parent_id, other_name, Ohms::new(b.resistance))?
             };
-            let _ = child;
-            visited.insert(other.clone());
-            frontier.push(other.clone());
+            node_of[other as usize] = Some(child);
+            frontier.push(other);
         }
     }
 
@@ -288,45 +301,36 @@ pub(crate) fn build_tree(
             ),
         });
     }
+    // Every branch was used, so every id is a tree node from here on.
+    let lookup = |name: &str| ids.get(name).and_then(|&v| node_of[v as usize]);
 
     // Grounded capacitors.
-    for (line, node, value) in caps {
-        let id = builder.node_by_name(node).map_err(|_| {
+    for &(line, node, value) in caps {
+        let id = lookup(node).ok_or_else(|| {
             NetlistError::parse_at(
-                *line,
-                node.as_str(),
+                line,
+                node,
                 format!("capacitor references unknown node `{node}`"),
             )
         })?;
-        builder.add_capacitance(id, Farads::new(*value))?;
+        builder.add_capacitance(id, Farads::new(value))?;
     }
 
     // Outputs (default: every leaf if none specified).
     if outputs.is_empty() {
-        let leaf_names: Vec<String> = {
-            // A leaf is a node that appears in exactly one branch and is not
-            // the input.
-            let mut degree: HashMap<&str, usize> = HashMap::new();
-            for b in branches {
-                *degree.entry(b.node_a.as_str()).or_default() += 1;
-                *degree.entry(b.node_b.as_str()).or_default() += 1;
+        // A leaf is a node that appears in exactly one branch and is not
+        // the input.
+        for (v, node) in node_of.iter().enumerate().skip(1) {
+            if degree(v) == 1 {
+                builder.mark_output(node.expect("leaves were visited"))?;
             }
-            degree
-                .iter()
-                .filter(|(name, &d)| d == 1 && **name != input_name)
-                .map(|(name, _)| name.to_string())
-                .collect()
-        };
-        for name in leaf_names {
-            let id = builder.node_by_name(&name).expect("leaves were visited");
-            builder.mark_output(id)?;
         }
     } else {
-        for (line, name) in outputs {
-            let id = builder.node_by_name(name).map_err(|_| {
+        for &(line, name) in outputs {
+            let id = lookup(name).ok_or_else(|| {
                 NetlistError::parse_at(
-                    *line,
-                    name.as_str(),
+                    line,
+                    name,
                     format!("output references unknown node `{name}`"),
                 )
             })?;

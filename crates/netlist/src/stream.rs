@@ -7,10 +7,16 @@
 //! parsed independently and discarded.  [`SpefReader`] removes it: the
 //! document is consumed from any [`Read`] source in fixed-size chunks, a
 //! carry-over buffer stitches the partial line at each chunk boundary, and
-//! completed `*D_NET` sections are parsed (in parallel batches via
-//! `rctree-par`) as soon as their `*END` arrives.  Peak memory is
-//! `O(chunk + largest section + one parsed batch)` regardless of deck
-//! size.
+//! completed `*D_NET` sections are parsed as soon as their `*END` arrives.
+//! Peak memory is `O(chunk + largest section + one parsed batch)`
+//! regardless of deck size.
+//!
+//! Lines are scanned in place as slices of the carry buffer, with no owned
+//! copy per line; only an open section's body is copied, once, into that
+//! section's own string.  Completed sections are parsed in batches on the
+//! persistent [`rctree_par::par_map_global`] pool: a batch owns its
+//! sections, so the pool's parked workers can take it without starting
+//! threads, and the calling thread parses alongside them.
 //!
 //! # Equivalence with the whole-text parsers
 //!
@@ -39,9 +45,10 @@
 
 use std::collections::VecDeque;
 use std::io::Read;
+use std::sync::Arc;
 
 use crate::error::{NetlistError, Result};
-use crate::spef::{parse_d_net, strip_comment, SpefNet, Units};
+use crate::spef::{closes_section, parse_d_net, strip_comment, SpefNet, Units};
 
 /// Default chunk size: large enough to amortise syscalls, small enough
 /// that a reader never holds a meaningful fraction of a big deck.
@@ -76,14 +83,18 @@ impl RawSection {
             .lines()
             .enumerate()
             .map(|(k, raw)| (self.header_line + k, raw));
-        parse_d_net(
+        let tree = parse_d_net(
             &mut lines,
-            self.name.clone(),
+            &self.name,
             self.header_line,
-            self.declared_total_cap,
             self.r_unit,
             self.c_unit,
-        )
+        )?;
+        Ok(SpefNet {
+            name: self.name.clone(),
+            declared_total_cap: self.declared_total_cap,
+            tree,
+        })
     }
 }
 
@@ -105,6 +116,11 @@ pub struct SpefReader<R> {
     units: Units,
     /// The section currently accumulating body lines, if any.
     open: Option<RawSection>,
+    /// Capacity reserved for the next section's body: half again the last
+    /// completed body, so a run of similar sections allocates each body
+    /// once.  A body that ends up less than half full is shrunk when its
+    /// section closes.
+    body_hint: usize,
     /// Completed sections not yet returned.
     ready: VecDeque<RawSection>,
     /// End of input reached and fully processed.
@@ -127,6 +143,7 @@ impl<R: Read> SpefReader<R> {
             line_no: 0,
             units: Units::default(),
             open: None,
+            body_hint: 0,
             ready: VecDeque::new(),
             done: false,
         }
@@ -140,18 +157,25 @@ impl<R: Read> SpefReader<R> {
     /// Scans one complete line, exactly as `split_deck` interprets it.
     fn scan_line(&mut self, raw: &str) -> Result<()> {
         self.line_no += 1;
-        let line = strip_comment(raw);
         if let Some(section) = self.open.as_mut() {
             // Every line of an open section — stray headers and unit
             // directives included — belongs to its body.
             section.body.push_str(raw);
             section.body.push('\n');
-            if line.to_ascii_uppercase().starts_with("*END") {
-                self.ready
-                    .push_back(self.open.take().expect("section is open"));
+            if closes_section(raw) {
+                let mut section = self.open.take().expect("section is open");
+                let len = section.body.len();
+                // A small section after a large one gives back the excess,
+                // so a queued body never holds more than twice its text.
+                if section.body.capacity() > 2 * len {
+                    section.body.shrink_to_fit();
+                }
+                self.body_hint = len + len / 2;
+                self.ready.push_back(section);
             }
             return Ok(());
         }
+        let line = strip_comment(raw);
         if line.is_empty() {
             return Ok(());
         }
@@ -162,37 +186,39 @@ impl<R: Read> SpefReader<R> {
                 r_unit: self.units.r,
                 c_unit: self.units.c,
                 header_line: self.line_no,
-                body: String::new(),
+                body: String::with_capacity(self.body_hint),
             });
         }
         Ok(())
     }
 
-    /// Drains every complete line out of the carry buffer.
+    /// Scans every complete line straight out of the carry buffer, then
+    /// drops them from it.
     fn drain_carry_lines(&mut self) -> Result<()> {
+        // The lines borrow the buffer while scanning updates the reader,
+        // so the buffer is moved out for the duration (an error is
+        // terminal, so it need not be put back then).
+        let mut carry = std::mem::take(&mut self.carry);
         let mut start = 0usize;
-        while let Some(nl) = self.carry[start..].iter().position(|&b| b == b'\n') {
+        while let Some(nl) = carry[start..].iter().position(|&b| b == b'\n') {
             let end = start + nl;
-            let mut line = &self.carry[start..end];
+            let mut line = &carry[start..end];
             if line.last() == Some(&b'\r') {
                 line = &line[..line.len() - 1];
             }
-            let text = std::str::from_utf8(line)
-                .map_err(|_| NetlistError::parse(self.line_no + 1, "input is not valid UTF-8"))?;
-            // Borrow dance: the line borrows `carry`, so copy out the
-            // (short) text before scanning mutates `self`.
-            let owned;
-            let text = if self.open.is_some() || !strip_comment(text).is_empty() {
-                owned = text.to_string();
-                owned.as_str()
-            } else {
-                ""
-            };
-            self.scan_line(text)?;
+            self.scan_line(self.utf8(line)?)?;
             start = end + 1;
         }
-        self.carry.drain(..start);
+        carry.drain(..start);
+        self.carry = carry;
         Ok(())
+    }
+
+    /// The next line's bytes as text; non-UTF-8 input is a parse error at
+    /// that line.
+    fn utf8<'b>(&self, line: &'b [u8]) -> Result<&'b str> {
+        std::str::from_utf8(line)
+            .map_err(|_| NetlistError::parse(self.line_no + 1, "input is not valid UTF-8"))
     }
 
     /// Pulls the next completed raw section, reading more chunks as
@@ -207,37 +233,35 @@ impl<R: Read> SpefReader<R> {
                 return Ok(None);
             }
             let mut chunk_span = rctree_obs::span("spef.chunk");
-            let mut buf = vec![0u8; self.chunk_size];
-            let n = self.source.read(&mut buf).map_err(|e| {
-                self.done = true;
-                NetlistError::from(e)
-            })?;
+            // Read straight into the carry's tail.
+            let filled = self.carry.len();
+            self.carry.resize(filled + self.chunk_size, 0);
+            let n = match self.source.read(&mut self.carry[filled..]) {
+                Ok(n) => n,
+                Err(e) => {
+                    self.done = true;
+                    return Err(e.into());
+                }
+            };
+            self.carry.truncate(filled + n);
             chunk_span.attr_u64("bytes", n as u64);
             if n == 0 {
                 // End of input: the carry holds the final unterminated
                 // line, if any (exactly the line `str::lines` would still
                 // yield), and an open section is parsed as-is so its
                 // missing `*END` is reported at the header.
+                self.done = true;
                 if !self.carry.is_empty() {
                     // A trailing `\r` stays: `str::lines` strips `\r` only
                     // immediately before a `\n`.
                     let line = std::mem::take(&mut self.carry);
-                    let text = String::from_utf8(line).map_err(|_| {
-                        self.done = true;
-                        NetlistError::parse(self.line_no + 1, "input is not valid UTF-8")
-                    })?;
-                    if let Err(e) = self.scan_line(&text) {
-                        self.done = true;
-                        return Err(e);
-                    }
+                    self.scan_line(self.utf8(&line)?)?;
                 }
                 if let Some(section) = self.open.take() {
                     self.ready.push_back(section);
                 }
-                self.done = true;
                 continue;
             }
-            self.carry.extend_from_slice(&buf[..n]);
             if let Err(e) = self.drain_carry_lines() {
                 self.done = true;
                 return Err(e);
@@ -246,8 +270,9 @@ impl<R: Read> SpefReader<R> {
     }
 
     /// Parses and returns the next batch of nets, in document order;
-    /// `Ok(None)` at end of input.  Batches are parsed in parallel over
-    /// `jobs` workers (0 = default pool size).
+    /// `Ok(None)` at end of input.  Batches are parsed in parallel by
+    /// `jobs` threads (0 counts as 1): the caller plus `jobs - 1` workers of
+    /// the global pool.
     ///
     /// Errors follow the [`crate::parse_spef_deck`] ordering: when a
     /// section body fails to parse, the rest of the input is still scanned
@@ -266,8 +291,11 @@ impl<R: Read> SpefReader<R> {
         }
         let mut batch_span = rctree_obs::span("spef.parse_batch");
         batch_span.attr_u64("nets", raws.len() as u64);
+        // The batch owns its sections, so it runs on the persistent pool
+        // (the calling thread works too) instead of starting threads.
+        let len = raws.len();
         let parsed: Result<Vec<SpefNet>> =
-            rctree_par::par_map_indexed(jobs, &raws, |_, raw| raw.parse())
+            rctree_par::par_map_global(jobs, Arc::new(raws), len, |i, raws| raws[i].parse())
                 .into_iter()
                 .collect();
         drop(batch_span);
@@ -348,6 +376,26 @@ mod tests {
             let mut reader = SpefReader::with_chunk_size(SAMPLE.as_bytes(), chunk);
             assert_eq!(reader.parse_all(1).unwrap(), want, "chunk {chunk}");
         }
+    }
+
+    #[test]
+    fn a_small_body_after_a_large_one_does_not_keep_its_reserve() {
+        let mut deck = String::from("*D_NET big 1\n*CONN\n*I drv I\n*CAP\n");
+        for i in 0..2000 {
+            deck.push_str(&format!("{i} n{i} 1\n"));
+        }
+        deck.push_str("*RES\n1 drv n0 1\n*END\n");
+        deck.push_str(&SAMPLE[SAMPLE.find("*D_NET").unwrap()..]);
+        let mut reader = SpefReader::new(deck.as_bytes());
+        let big = reader.next_raw_section().unwrap().unwrap();
+        let small = reader.next_raw_section().unwrap().unwrap();
+        assert!(big.body.len() > 20 * small.body.len());
+        assert!(
+            small.body.capacity() <= 2 * small.body.len(),
+            "{} bytes reserved for {}",
+            small.body.capacity(),
+            small.body.len()
+        );
     }
 
     #[test]

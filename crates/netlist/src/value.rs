@@ -16,33 +16,35 @@ use crate::error::{NetlistError, Result};
 ///
 /// Returns [`NetlistError::Parse`] if the literal has no leading number.
 pub fn parse_value(token: &str, line: usize) -> Result<f64> {
-    let lower = token.trim().to_ascii_lowercase();
-    // Split the leading numeric part from the suffix.
-    let split = lower
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+' || c == 'e'))
-        .unwrap_or(lower.len());
+    let text = token.trim();
+    // Split the leading numeric part from the suffix.  Both cases of the
+    // exponent marker are accepted in place (`f64::from_str` takes either),
+    // so no lowercased copy of the token is needed.
+    let split = text
+        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
+        .unwrap_or(text.len());
     // Careful with scientific notation: an `e` followed by digits/sign is
     // part of the number, but a bare trailing `e` is not a valid suffix.
-    let (mut num_part, mut suffix) = lower.split_at(split);
+    let (mut num_part, mut suffix) = text.split_at(split);
     // Handle the case where the numeric part ends with 'e' that actually
     // begins an exponent that was cut (e.g. "1e-3"): the find above only
     // triggers on the first non-numeric char, and '-'/'+' are allowed, so
     // "1e-3" stays intact.  But "1e" alone would leave a dangling 'e'.
-    if num_part.ends_with('e') {
+    if num_part.ends_with(['e', 'E']) {
         num_part = &num_part[..num_part.len() - 1];
-        suffix = &lower[split - 1..];
+        suffix = &text[split - 1..];
     }
     let base: f64 = num_part.parse().map_err(|_| {
-        NetlistError::parse_at(
-            line,
-            token.trim(),
-            format!("invalid numeric literal `{token}`"),
-        )
+        NetlistError::parse_at(line, text, format!("invalid numeric literal `{token}`"))
     })?;
-    let mult = if suffix.starts_with("meg") {
+    let mult = if suffix
+        .as_bytes()
+        .get(..3)
+        .is_some_and(|s| s.eq_ignore_ascii_case(b"meg"))
+    {
         1e6
     } else {
-        match suffix.chars().next() {
+        match suffix.chars().next().map(|c| c.to_ascii_lowercase()) {
             None => 1.0,
             Some('f') => 1e-15,
             Some('p') => 1e-12,
@@ -124,6 +126,22 @@ mod tests {
         close(parse_value("0.01pF", 1).unwrap(), 0.01e-12);
         close(parse_value("180ohm", 1).unwrap(), 180.0);
         close(parse_value("1.5kOhm", 1).unwrap(), 1500.0);
+    }
+
+    #[test]
+    fn mixed_case_exponents_and_suffixes() {
+        assert_eq!(parse_value("1E-3", 1).unwrap(), 1e-3);
+        assert_eq!(parse_value("2.5E6", 1).unwrap(), 2.5e6);
+        assert_eq!(parse_value("2.5MEG", 1).unwrap(), 2.5 * 1e6);
+        assert_eq!(parse_value("2.5Meg", 1).unwrap(), 2.5 * 1e6);
+        assert_eq!(parse_value("4.7pF", 1).unwrap(), 4.7 * 1e-12);
+        assert_eq!(parse_value("4.7PF", 1).unwrap(), 4.7 * 1e-12);
+        // A dangling exponent marker is a (unit-less) suffix, not part of
+        // the number; an exponent followed by a suffix scales twice.
+        assert_eq!(parse_value("3e", 1).unwrap(), 3.0);
+        assert_eq!(parse_value("3E", 1).unwrap(), 3.0);
+        assert_eq!(parse_value("1e5k", 1).unwrap(), 1e5 * 1e3);
+        assert_eq!(parse_value(" 7K ", 1).unwrap(), 7.0 * 1e3);
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! an already-running thread (only `std::thread::scope`'s join-before-return
 //! proof makes borrowing sound).  Global-pool jobs therefore own their data
 //! — in practice an `Arc` of the shared state, which is exactly how
-//! `rctree-sta` now stores its design core.  Borrow-based callers
+//! `rctree-sta` stores its design core and how the streaming SPEF reader
+//! hands over each batch of owned sections.  Borrow-based callers
 //! (`parse_spef_deck` slicing one big input string) stay on the scoped
 //! pool.
 //!
