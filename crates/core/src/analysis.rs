@@ -40,7 +40,6 @@ use crate::units::Seconds;
 
 /// Timing signature of one output node.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OutputTiming {
     /// The output node.
     pub node: NodeId,
@@ -52,19 +51,13 @@ pub struct OutputTiming {
 
 /// Per-output characteristic times for a whole tree.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TreeAnalysis {
     outputs: Vec<OutputTiming>,
-    /// Output node → position in `outputs`, for `O(1)` lookup.
-    ///
-    /// Derived from `outputs`; skipped by serde both to keep the serialized
-    /// form `{outputs}` and because non-string map keys break JSON.  A
-    /// future `Deserialize` restoration must rebuild both indexes.
-    #[cfg_attr(feature = "serde", serde(skip))]
+    /// Output node → position in `outputs`, for `O(1)` lookup (derived
+    /// from `outputs`).
     by_node: HashMap<NodeId, usize>,
     /// Output name → position in `outputs`, for `O(1)` lookup (derived;
     /// see `by_node`).
-    #[cfg_attr(feature = "serde", serde(skip))]
     by_name: HashMap<String, usize>,
 }
 

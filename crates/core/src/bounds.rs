@@ -61,7 +61,6 @@ use crate::units::Seconds;
 /// Lower and upper bounds on the normalized step-response voltage at a given
 /// time.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VoltageBounds {
     /// Guaranteed minimum normalized voltage (Eqs. 10–12).
     pub lower: f64,
@@ -83,7 +82,6 @@ impl VoltageBounds {
 
 /// Lower and upper bounds on the delay to a threshold voltage.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DelayBounds {
     /// Guaranteed minimum delay (Eqs. 13–15).
     pub lower: Seconds,

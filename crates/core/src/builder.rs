@@ -26,7 +26,7 @@
 
 use crate::element::Branch;
 use crate::error::{CoreError, Result};
-use crate::tree::{name_index, NodeData, NodeId, RcTree};
+use crate::tree::{name_index, NodeId, NodeTable, RcTree};
 use crate::units::{Farads, Ohms};
 
 /// Default name given to the input node.
@@ -37,7 +37,7 @@ pub const INPUT_NAME: &str = "input";
 /// See the [module documentation](self) for a complete example.
 #[derive(Debug, Clone)]
 pub struct RcTreeBuilder {
-    nodes: Vec<NodeData>,
+    table: NodeTable,
 }
 
 impl Default for RcTreeBuilder {
@@ -54,12 +54,10 @@ impl RcTreeBuilder {
     }
 
     /// Creates a builder whose input node carries the given name.
-    pub fn with_input_name(name: impl Into<String>) -> Self {
-        let name = name.into();
-        let name_hash = name_index::hash(&name);
-        let mut nodes = vec![NodeData::new(name, name_hash, None, None)];
-        name_index::push(&mut nodes);
-        RcTreeBuilder { nodes }
+    pub fn with_input_name(name: impl AsRef<str>) -> Self {
+        RcTreeBuilder {
+            table: NodeTable::with_root(name.as_ref()),
+        }
     }
 
     /// The input node id (always valid).
@@ -67,15 +65,17 @@ impl RcTreeBuilder {
         NodeId::INPUT
     }
 
-    /// Reserves room for at least `additional` more nodes, so a caller that
-    /// knows the tree's size grows the node table once.
-    pub fn reserve(&mut self, additional: usize) {
-        self.nodes.reserve_exact(additional);
+    /// Reserves room for at least `additional` more nodes whose names take
+    /// `name_bytes` bytes in total, so a caller that knows the tree's size
+    /// grows the node table and the name buffer once each.
+    pub fn reserve(&mut self, additional: usize, name_bytes: usize) {
+        self.table.nodes.reserve_exact(additional);
+        self.table.names.reserve_exact(name_bytes);
     }
 
     /// Number of nodes added so far, including the input.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.table.nodes.len()
     }
 
     /// Looks up a previously added node by name, in expected `O(1)` time.
@@ -84,7 +84,8 @@ impl RcTreeBuilder {
     ///
     /// Returns [`CoreError::NameNotFound`] if no node has the given name.
     pub fn node_by_name(&self, name: &str) -> Result<NodeId> {
-        name_index::find(&self.nodes, name)
+        self.table
+            .find(name)
             .map(NodeId)
             .ok_or_else(|| CoreError::NameNotFound {
                 name: name.to_string(),
@@ -102,11 +103,11 @@ impl RcTreeBuilder {
     pub fn add_resistor(
         &mut self,
         parent: NodeId,
-        name: impl Into<String>,
+        name: impl AsRef<str>,
         resistance: Ohms,
     ) -> Result<NodeId> {
         check_value("resistance", resistance.value())?;
-        self.add_branch(parent, name.into(), Branch::resistor(resistance))
+        self.add_branch(parent, name.as_ref(), Branch::resistor(resistance))
     }
 
     /// Adds a uniform distributed RC line from `parent` to a new node called
@@ -124,13 +125,13 @@ impl RcTreeBuilder {
     pub fn add_line(
         &mut self,
         parent: NodeId,
-        name: impl Into<String>,
+        name: impl AsRef<str>,
         resistance: Ohms,
         capacitance: Farads,
     ) -> Result<NodeId> {
         check_value("line resistance", resistance.value())?;
         check_value("line capacitance", capacitance.value())?;
-        self.add_branch(parent, name.into(), Branch::line(resistance, capacitance))
+        self.add_branch(parent, name.as_ref(), Branch::line(resistance, capacitance))
     }
 
     /// Adds lumped grounded capacitance at an existing node (accumulating
@@ -144,6 +145,7 @@ impl RcTreeBuilder {
     pub fn add_capacitance(&mut self, node: NodeId, capacitance: Farads) -> Result<()> {
         check_value("capacitance", capacitance.value())?;
         let data = self
+            .table
             .nodes
             .get_mut(node.0)
             .ok_or(CoreError::NodeNotFound { node })?;
@@ -158,6 +160,7 @@ impl RcTreeBuilder {
     /// Returns [`CoreError::NodeNotFound`] if `node` is unknown.
     pub fn mark_output(&mut self, node: NodeId) -> Result<()> {
         let data = self
+            .table
             .nodes
             .get_mut(node.0)
             .ok_or(CoreError::NodeNotFound { node })?;
@@ -167,43 +170,41 @@ impl RcTreeBuilder {
 
     /// Finalizes the builder into an immutable [`RcTree`].
     ///
-    /// This is where the tree's flattened traversal cache (pre-order index
-    /// array, per-node parent/branch/capacitance arrays, prefix path
-    /// resistances and downstream capacitances) is derived, so that every
-    /// subsequent whole-tree analysis is an allocation-free array walk.
+    /// The tree keeps the builder's node table and name buffer as they are.
+    /// Its flattened traversal cache (pre-order index array, per-node
+    /// parent/branch/capacitance arrays, prefix path resistances and
+    /// downstream capacitances) is derived later, by the first whole-tree
+    /// analysis that needs it (see the [`tree`](crate::tree) module docs).
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::EmptyTree`] if no branches or capacitance were
     /// added at all.
     pub fn build(self) -> Result<RcTree> {
-        let has_branch = self.nodes.len() > 1;
-        let has_cap = self.nodes.iter().any(|n| !n.cap.is_zero())
-            || self
-                .nodes
+        let nodes = &self.table.nodes;
+        let has_branch = nodes.len() > 1;
+        let has_cap = nodes.iter().any(|n| !n.cap.is_zero())
+            || nodes
                 .iter()
                 .filter_map(|n| n.branch.as_ref())
                 .any(|b| !b.capacitance().is_zero());
         if !has_branch && !has_cap {
             return Err(CoreError::EmptyTree);
         }
-        Ok(RcTree::from_nodes(self.nodes))
+        Ok(RcTree::from_table(self.table))
     }
 
-    fn add_branch(&mut self, parent: NodeId, name: String, branch: Branch) -> Result<NodeId> {
-        if parent.0 >= self.nodes.len() {
+    fn add_branch(&mut self, parent: NodeId, name: &str, branch: Branch) -> Result<NodeId> {
+        if parent.0 >= self.table.nodes.len() {
             return Err(CoreError::NodeNotFound { node: parent });
         }
-        let name_hash = name_index::hash(&name);
-        if name_index::find_hashed(&self.nodes, &name, name_hash).is_some() {
-            return Err(CoreError::DuplicateName { name });
+        let name_hash = name_index::hash(name);
+        if name_index::find_hashed(&self.table, name, name_hash).is_some() {
+            return Err(CoreError::DuplicateName {
+                name: name.to_string(),
+            });
         }
-        let id = NodeId(self.nodes.len());
-        self.nodes
-            .push(NodeData::new(name, name_hash, Some(parent), Some(branch)));
-        name_index::push(&mut self.nodes);
-        self.nodes[parent.0].children.push(id);
-        Ok(id)
+        Ok(self.table.push(name, name_hash, Some(parent), Some(branch)))
     }
 }
 

@@ -12,7 +12,6 @@ use std::fmt;
 /// Mirrors the paper's APL function `OK`, which returns `1` (pass), `¯1`
 /// (fail) or `0` (cannot tell).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Certification {
     /// The upper delay bound is within the budget: the circuit is guaranteed
     /// fast enough.

@@ -26,7 +26,6 @@ use crate::units::{Farads, Ohms};
 /// assert_eq!(wire.capacitance(), Farads::from_pico(0.01));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Branch {
     /// A lumped resistor of the given resistance.
     Resistor {

@@ -46,7 +46,6 @@ use crate::units::{Farads, Ohms};
 
 /// An RC-tree topology expressed with the paper's `URC`/`WB`/`WC` algebra.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum NetworkExpr {
     /// The primitive uniform RC line `URC R,C` (a resistor if `C = 0`, a
     /// capacitor if `R = 0`).

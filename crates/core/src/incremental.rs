@@ -92,11 +92,13 @@
 //! # }
 //! ```
 
+use std::sync::OnceLock;
+
 use crate::batch::BatchTimes;
 use crate::element::Branch;
 use crate::error::{CoreError, Result};
 use crate::moments::CharacteristicTimes;
-use crate::tree::{name_index, NodeId, RcTree};
+use crate::tree::{check_node_count, name_index, span, NodeId, RcTree, TraversalCache, NIL};
 use crate::units::{Farads, Seconds};
 
 /// Raw (un-normalised) characteristic-time state of every node: the shared
@@ -328,6 +330,9 @@ pub struct EditableTree {
 impl EditableTree {
     /// Wraps a tree, seeding the incremental engine with one `O(n)` sweep
     /// (the same recurrence as [`BatchTimes::of`](crate::batch::BatchTimes::of)).
+    ///
+    /// This builds the tree's traversal cache if it was not built yet; every
+    /// edit then patches it in place.
     pub fn new(tree: RcTree) -> Self {
         let raw = raw_times(&tree);
         let n = tree.node_count();
@@ -380,8 +385,22 @@ impl EditableTree {
                 parent,
                 via,
                 subtree,
-            } => self.graft(*parent, *via, subtree),
-            TreeEdit::PruneSubtree { node } => self.prune(*node),
+            } => {
+                self.graft(*parent, *via, subtree)?;
+                debug_assert!(
+                    self.tree.cache_matches_rebuild(),
+                    "graft: patched traversal cache drifted from a rebuild"
+                );
+                Ok(())
+            }
+            TreeEdit::PruneSubtree { node } => {
+                self.prune(*node)?;
+                debug_assert!(
+                    self.tree.cache_matches_rebuild(),
+                    "prune: patched traversal cache drifted from a rebuild"
+                );
+                Ok(())
+            }
         }
     }
 
@@ -493,12 +512,12 @@ impl EditableTree {
             });
         }
         let i = node.index();
-        let delta = value - self.tree.cache.node_cap[i];
-        self.tree.nodes[i].cap = cap;
+        let cache = cache_mut(&mut self.tree.cache);
+        let delta = value - cache.node_cap[i];
+        self.tree.table.nodes[i].cap = cap;
         if delta == 0.0 {
             return Ok(());
         }
-        let cache = &mut self.tree.cache;
         cache.node_cap[i] = value;
         // Subtree capacitances along the root path.
         let mut a = i;
@@ -545,14 +564,14 @@ impl EditableTree {
             }
         }
         let i = node.index();
-        let (old_r, old_c) = (self.tree.cache.branch_r[i], self.tree.cache.branch_c[i]);
+        let cache = cache_mut(&mut self.tree.cache);
+        let (old_r, old_c) = (cache.branch_r[i], cache.branch_c[i]);
         let (dr, dc) = (new_r - old_r, new_c - old_c);
-        self.tree.nodes[i].branch = Some(branch);
+        self.tree.table.nodes[i].branch = Some(branch);
         if dr == 0.0 && dc == 0.0 {
             return Ok(());
         }
         let times = &mut self.times;
-        let cache = &mut self.tree.cache;
         let p = cache.parent[i] as usize;
         let r_pp = cache.path_r[p];
         let d = cache.down_cap[i];
@@ -627,10 +646,12 @@ impl EditableTree {
                 return Err(CoreError::InvalidValue { what, value: v });
             }
         }
-        for data in &subtree.nodes {
-            if name_index::find(&self.tree.nodes, &data.name).is_some() {
+        let sub_table = &subtree.table;
+        for j in 0..sub_table.nodes.len() {
+            let name = sub_table.name(j);
+            if self.tree.table.find(name).is_some() {
                 return Err(CoreError::DuplicateName {
-                    name: data.name.clone(),
+                    name: name.to_string(),
                 });
             }
         }
@@ -638,15 +659,28 @@ impl EditableTree {
         let gp = parent.index();
         let n_old = self.tree.node_count();
         let m = subtree.node_count();
+        check_node_count(n_old + m);
 
         // Pre-order positions are about to shift: fold the lazy offsets
         // into the base arrays first.
         self.flatten();
 
-        // Node table: subtree node `j` becomes host node `n_old + j`; its
-        // input is rewired onto `parent` through `via`.
-        for (j, data) in subtree.nodes.iter().enumerate() {
-            let mut d = data.clone();
+        // Node table: subtree node `j` becomes host node `n_old + j`, its
+        // name moves to the end of the host's name buffer, and its input is
+        // rewired onto `parent` through `via`.
+        let table = &mut self.tree.table;
+        let name_base = table.names.len();
+        table.names.push_str(&sub_table.names);
+        let shift = |link: u32| {
+            if link == NIL {
+                NIL
+            } else {
+                link + n_old as u32
+            }
+        };
+        for (j, data) in sub_table.nodes.iter().enumerate() {
+            let mut d = *data;
+            d.name_start = span(name_base + data.name_start as usize);
             d.parent = Some(match data.parent {
                 Some(p) => NodeId(n_old + p.index()),
                 None => parent,
@@ -654,21 +688,21 @@ impl EditableTree {
             if j == 0 {
                 d.branch = Some(via);
             }
-            for c in &mut d.children {
-                *c = NodeId(n_old + c.index());
-            }
-            self.tree.nodes.push(d);
-            name_index::push(&mut self.tree.nodes);
+            d.first_child = shift(d.first_child);
+            d.last_child = shift(d.last_child);
+            d.next_sibling = shift(d.next_sibling);
+            table.nodes.push(d);
+            name_index::push(&mut table.nodes);
         }
-        self.tree.nodes[gp].children.push(NodeId(n_old));
+        table.append_child(gp, n_old);
 
         // Cache: extend the flat arrays, splice the mapped pre-order run at
         // the end of the graft parent's interval (the grafted root is the
         // parent's new last child, matching a from-scratch DFS), re-index.
         let sub_cache = subtree.traversal();
-        let insert_pos = self.tree.cache.subtree_end[gp] as usize;
+        let insert_pos = cache_mut(&mut self.tree.cache).subtree_end[gp] as usize;
         {
-            let cache = &mut self.tree.cache;
+            let cache = cache_mut(&mut self.tree.cache);
             for j in 0..m {
                 cache.parent.push(if j == 0 {
                     gp as u32
@@ -704,7 +738,7 @@ impl EditableTree {
         // one root-path correction shared by old and new nodes alike.
         let c_add = sub_cache.down_cap[0] + via_c;
         let times = &mut self.times;
-        let cache = &mut self.tree.cache;
+        let cache = cache_mut(&mut self.tree.cache);
         times.total_cap += c_add;
         times.td_base.resize(n_old + m, 0.0);
         times.trn_base.resize(n_old + m, 0.0);
@@ -753,13 +787,13 @@ impl EditableTree {
 
         self.flatten();
 
-        let (l, e) = self.tree.cache.interval(i);
-        let c_rem = self.tree.cache.down_cap[i] + self.tree.cache.branch_c[i];
-        let n_old = self.tree.node_count();
+        let cache = cache_mut(&mut self.tree.cache);
+        let (l, e) = cache.interval(i);
+        let c_rem = cache.down_cap[i] + cache.branch_c[i];
+        let n_old = self.tree.table.nodes.len();
 
         // Numeric removals, against the pre-edit cache.
         {
-            let cache = &self.tree.cache;
             for pos in l..e {
                 let k = cache.preorder[pos] as usize;
                 let pk = cache.parent[k] as usize;
@@ -772,7 +806,7 @@ impl EditableTree {
         // Old→new id map (surviving ids shift down past the holes).
         let mut doomed = vec![false; n_old];
         for pos in l..e {
-            doomed[self.tree.cache.preorder[pos] as usize] = true;
+            doomed[cache.preorder[pos] as usize] = true;
         }
         let mut new_id = vec![0u32; n_old];
         let mut next = 0u32;
@@ -782,24 +816,62 @@ impl EditableTree {
                 next += 1;
             }
         }
-        let parent_old = self.tree.cache.parent[i] as usize;
+        let parent_old = cache.parent[i] as usize;
 
-        // Compact the node table.
-        let nodes = std::mem::take(&mut self.tree.nodes);
-        let mut kept = Vec::with_capacity(n_old - (e - l));
-        for (k, mut data) in nodes.into_iter().enumerate() {
-            if doomed[k] {
+        // Unlink the pruned root from its parent's children; every other
+        // doomed node hangs below it, so no surviving link points into the
+        // pruned region afterwards.
+        let table = &mut self.tree.table;
+        let mut prev = NIL;
+        let mut cur = table.nodes[parent_old].first_child;
+        while cur as usize != i {
+            prev = cur;
+            cur = table.nodes[cur as usize].next_sibling;
+        }
+        let after = table.nodes[i].next_sibling;
+        if prev == NIL {
+            table.nodes[parent_old].first_child = after;
+        } else {
+            table.nodes[prev as usize].next_sibling = after;
+        }
+        if table.nodes[parent_old].last_child as usize == i {
+            table.nodes[parent_old].last_child = prev;
+        }
+
+        // Compact the node table and, in the same order, the name buffer
+        // (names sit back to back in node order, so each surviving name
+        // moves down, never up).
+        let renumber = |link: u32| {
+            if link == NIL {
+                NIL
+            } else {
+                new_id[link as usize]
+            }
+        };
+        let mut names = std::mem::take(&mut table.names).into_bytes();
+        let mut w = 0;
+        let mut name_w = 0;
+        for (k, &gone) in doomed.iter().enumerate() {
+            if gone {
                 continue;
             }
+            let mut data = table.nodes[k];
             data.parent = data.parent.map(|p| NodeId(new_id[p.index()] as usize));
-            data.children.retain(|c| !doomed[c.index()]);
-            for c in &mut data.children {
-                *c = NodeId(new_id[c.index()] as usize);
-            }
-            kept.push(data);
+            data.first_child = renumber(data.first_child);
+            data.last_child = renumber(data.last_child);
+            data.next_sibling = renumber(data.next_sibling);
+            let start = data.name_start as usize;
+            let len = data.name_len as usize;
+            names.copy_within(start..start + len, name_w);
+            data.name_start = name_w as u32;
+            name_w += len;
+            table.nodes[w] = data;
+            w += 1;
         }
-        name_index::relink(&mut kept);
-        self.tree.nodes = kept;
+        table.nodes.truncate(w);
+        names.truncate(name_w);
+        table.names = String::from_utf8(names).expect("whole names moved intact stay UTF-8");
+        name_index::relink(&mut table.nodes);
 
         // Compact the cache and base arrays in lockstep.
         fn retain<T: Copy>(v: &mut Vec<T>, doomed: &[bool]) {
@@ -813,7 +885,6 @@ impl EditableTree {
             v.truncate(w);
         }
         {
-            let cache = &mut self.tree.cache;
             for k in 0..n_old {
                 if !doomed[k] {
                     cache.parent[k] = new_id[cache.parent[k] as usize];
@@ -835,13 +906,12 @@ impl EditableTree {
         }
         retain(&mut self.times.td_base, &doomed);
         retain(&mut self.times.trn_base, &doomed);
-        let n_new = self.tree.nodes.len();
+        let n_new = table.nodes.len();
         self.times.td_lazy = Fenwick::new(n_new);
         self.times.trn_lazy = Fenwick::new(n_new);
 
         // Root-path correction with the surviving ids.
         let times = &mut self.times;
-        let cache = &mut self.tree.cache;
         let mut a = new_id[parent_old] as usize;
         loop {
             cache.down_cap[a] -= c_rem;
@@ -865,6 +935,14 @@ impl EditableTree {
     }
 }
 
+/// The traversal cache of an [`EditableTree`]'s tree, which
+/// [`EditableTree::new`] builds before any edit patches it.
+fn cache_mut(cache: &mut OnceLock<TraversalCache>) -> &mut TraversalCache {
+    cache
+        .get_mut()
+        .expect("EditableTree::new builds the traversal cache")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -878,9 +956,24 @@ mod tests {
     fn assert_matches_rebuild(eco: &EditableTree) {
         let rebuilt = eco.tree().rebuild();
         assert_eq!(
+            rebuilt.traversal().preorder,
+            eco.tree().traversal().preorder,
+            "patched pre-order drifted from a rebuild"
+        );
+        assert_eq!(
+            rebuilt.traversal().subtree_end,
+            eco.tree().traversal().subtree_end,
+            "patched subtree intervals drifted from a rebuild"
+        );
+        assert_eq!(
             rebuilt.preorder(),
-            eco.tree().preorder(),
-            "pre-order drifted"
+            eco.tree()
+                .traversal()
+                .preorder
+                .iter()
+                .map(|&i| NodeId(i as usize))
+                .collect::<Vec<_>>(),
+            "sibling-link walk disagrees with the patched pre-order"
         );
         let oracle = BatchTimes::of(&rebuilt).expect("rebuilt tree analyses");
         let close = |g: f64, w: f64, scale: f64| (g - w).abs() <= 1e-9 * w.abs().max(1e-3 * scale);

@@ -41,7 +41,6 @@ use crate::units::{Farads, Ohms, Seconds};
 /// This is the complete "signature" from which every Penfield–Rubinstein
 /// bound is evaluated (see [`crate::bounds`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CharacteristicTimes {
     /// `T_P = Σ R_kk C_k`: identical for every output of the tree.
     pub t_p: Seconds,
@@ -197,7 +196,7 @@ pub fn characteristic_times(tree: &RcTree, output: NodeId) -> Result<Characteris
     for id in tree.path_from_input(output)? {
         on_path[id.index()] = true;
     }
-    for id in tree.preorder() {
+    for id in tree.preorder_iter() {
         if let Some(parent) = tree.parent(id)? {
             let r_branch = tree
                 .branch(id)?

@@ -93,7 +93,7 @@ pub fn shared_resistances_to(tree: &RcTree, e: NodeId) -> Result<Vec<Ohms>> {
             att
         };
         shared[id.index()] = att_here;
-        for &child in tree.children(id)? {
+        for child in tree.children(id)? {
             stack.push((child, att_here));
         }
     }

@@ -10,8 +10,36 @@
 //!
 //! [`RcTree`] is an immutable, validated structure produced by
 //! [`RcTreeBuilder`](crate::builder::RcTreeBuilder).
+//!
+//! # Memory layout
+//!
+//! Because every node has exactly one path to the input, a node table with
+//! parent and sibling links describes the whole tree.  A built [`RcTree`]
+//! is two heap blocks:
+//!
+//! 1. the **node table**, one fixed-size record per node: its parent, its
+//!    feeding branch, its capacitance, its output mark, the
+//!    `first_child` / `last_child` / `next_sibling` links that give the
+//!    children in insertion order, and the links of an intrusive name
+//!    index;
+//! 2. the **name buffer**, one `String` holding every node name back to
+//!    back in node order; a node stores the `(start, len)` span of its
+//!    name.
+//!
+//! The **traversal cache** (the pre-order, prefix path resistances,
+//! subtree capacitances and the per-node value arrays the whole-tree
+//! algorithms walk) is derived from the node table and built on the first
+//! call that needs it, not when the tree is built.  It adds nine arrays.
+//! A tree that is only parsed, walked with [`RcTree::preorder_iter`] or
+//! [`RcTree::children`], copied into another structure and dropped never
+//! builds it; the first analysis ([`BatchTimes::of`](crate::batch::BatchTimes::of),
+//! [`EditableTree::new`](crate::incremental::EditableTree::new), the path
+//! and subtree queries) does, once.  Cloning a tree copies the blocks it
+//! has and nothing else.
 
 use std::fmt;
+use std::iter::FusedIterator;
+use std::sync::OnceLock;
 
 use crate::element::Branch;
 use crate::error::{CoreError, Result};
@@ -22,7 +50,6 @@ use crate::units::{Farads, Ohms};
 /// Node ids are indices into the tree's node table; id 0 is always the input
 /// node.  Ids are only meaningful for the tree that produced them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeId(pub(crate) usize);
 
 impl NodeId {
@@ -41,11 +68,15 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// Flattened traversal arrays derived from the node table, built once by
-/// [`RcTree::from_nodes`] and shared by every whole-tree algorithm.
+/// Terminator of the child and sibling links and of the name-index chains.
+pub(crate) const NIL: u32 = u32::MAX;
+
+/// Flattened traversal arrays derived from the node table, built on the
+/// first [`RcTree::traversal`] call and shared by every whole-tree
+/// algorithm.
 ///
-/// Everything here is redundant with `nodes` — it is a cache, indexed by
-/// [`NodeId::index`], that turns the hot traversal loops of
+/// Everything here is redundant with the node table — it is a cache,
+/// indexed by [`NodeId::index`], that turns the hot traversal loops of
 /// [`crate::batch`], [`crate::elmore`] and [`crate::moments`] into
 /// allocation-free array walks instead of `Result`-returning accessor calls
 /// that rebuild `preorder()` / `path_from_input()` vectors per query.
@@ -84,17 +115,7 @@ pub(crate) struct TraversalCache {
 impl TraversalCache {
     fn build(nodes: &[NodeData]) -> Self {
         let n = nodes.len();
-        let mut preorder = Vec::with_capacity(n);
-        // The walk's stack never holds more than `n` ids; once empty, its
-        // buffer is reused for `pre_index`.
-        let mut stack = Vec::with_capacity(n);
-        stack.push(0u32);
-        while let Some(i) = stack.pop() {
-            preorder.push(i);
-            for &child in nodes[i as usize].children.iter().rev() {
-                stack.push(child.0 as u32);
-            }
-        }
+        let preorder: Vec<u32> = Preorder::new(nodes).map(|id| id.0 as u32).collect();
 
         let mut parent = vec![0u32; n];
         let mut branch_r = vec![0.0; n];
@@ -130,7 +151,7 @@ impl TraversalCache {
             node_cap,
             path_r,
             down_cap,
-            pre_index: stack,
+            pre_index: Vec::new(),
             subtree_end: Vec::new(),
         };
         cache.rebuild_intervals();
@@ -167,11 +188,12 @@ impl TraversalCache {
 }
 
 /// Per-node payload stored by [`RcTree`].
-#[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct NodeData {
-    /// Human-readable name, unique within the tree.
-    pub(crate) name: String,
+    /// Byte offset of the node's name in the table's name buffer.
+    pub(crate) name_start: u32,
+    /// Byte length of the node's name.
+    pub(crate) name_len: u32,
     /// Parent node; `None` only for the input node.
     pub(crate) parent: Option<NodeId>,
     /// Branch element connecting this node to its parent; `None` only for
@@ -179,53 +201,122 @@ pub(crate) struct NodeData {
     pub(crate) branch: Option<Branch>,
     /// Lumped grounded capacitance attached at this node.
     pub(crate) cap: Farads,
-    /// Children in insertion order.
-    pub(crate) children: Vec<NodeId>,
+    /// First child in insertion order ([`NIL`] for a leaf).
+    pub(crate) first_child: u32,
+    /// Last child in insertion order ([`NIL`] for a leaf), so appending a
+    /// child is `O(1)`.
+    pub(crate) last_child: u32,
+    /// The parent's next child after this one ([`NIL`] for the last).
+    pub(crate) next_sibling: u32,
     /// Whether this node is marked as an output of interest.
     pub(crate) output: bool,
-    /// Hash of `name`, kept for the intrusive name index (see
+    /// Hash of the name, kept for the intrusive name index (see
     /// [`name_index`]).
     pub(crate) name_hash: u32,
-    /// Next node in the same name-index bucket ([`name_index::NIL`] ends
-    /// the chain).
+    /// Next node in the same name-index bucket ([`NIL`] ends the chain).
     pub(crate) name_next: u32,
     /// Head of the name-index bucket numbered by this node's index.
     pub(crate) bucket_head: u32,
 }
 
-impl NodeData {
-    /// A node with no capacitance, children or output mark, not yet linked
-    /// into the name index; `name_hash` is [`name_index::hash`] of `name`.
-    pub(crate) fn new(
-        name: String,
+/// The node table and the name buffer its name spans point into: the part
+/// of a tree that [`RcTreeBuilder`](crate::builder::RcTreeBuilder) grows
+/// and [`RcTree`] keeps.
+///
+/// The buffer holds the names back to back in node order and nothing else,
+/// so node `i`'s span starts where node `i - 1`'s ends.
+#[derive(Debug, Clone)]
+pub(crate) struct NodeTable {
+    pub(crate) nodes: Vec<NodeData>,
+    pub(crate) names: String,
+}
+
+/// A name-buffer offset or length as stored in a span.
+///
+/// # Panics
+///
+/// If the tree's names exceed 4 GiB in total.
+pub(crate) fn span(bytes: usize) -> u32 {
+    u32::try_from(bytes).expect("the node names of one tree fit in 4 GiB")
+}
+
+/// Checks that a tree of `len` nodes can number every node with a `u32`
+/// link distinct from [`NIL`].
+///
+/// # Panics
+///
+/// If `len` exceeds `u32::MAX`.
+pub(crate) fn check_node_count(len: usize) {
+    assert!(len <= NIL as usize, "a tree holds at most 2^32 - 1 nodes");
+}
+
+impl NodeTable {
+    /// A table holding only the input node, called `name`.
+    pub(crate) fn with_root(name: &str) -> Self {
+        let mut table = NodeTable {
+            nodes: Vec::new(),
+            names: String::new(),
+        };
+        table.push(name, name_index::hash(name), None, None);
+        table
+    }
+
+    /// The name of node `i`.
+    pub(crate) fn name(&self, i: usize) -> &str {
+        let n = &self.nodes[i];
+        let start = n.name_start as usize;
+        &self.names[start..start + n.name_len as usize]
+    }
+
+    /// Index of the node called `name`, if any.
+    pub(crate) fn find(&self, name: &str) -> Option<usize> {
+        name_index::find_hashed(self, name, name_index::hash(name))
+    }
+
+    /// Appends a node called `name` (whose [`name_index::hash`] is
+    /// `name_hash`) as the last child of `parent` and returns its id.  The
+    /// caller has checked that the name is unused.
+    pub(crate) fn push(
+        &mut self,
+        name: &str,
         name_hash: u32,
         parent: Option<NodeId>,
         branch: Option<Branch>,
-    ) -> Self {
-        NodeData {
-            name_hash,
-            name,
+    ) -> NodeId {
+        let name_start = span(self.names.len());
+        self.names.push_str(name);
+        let id = self.nodes.len();
+        check_node_count(id + 1);
+        self.nodes.push(NodeData {
+            name_start,
+            name_len: span(name.len()),
             parent,
             branch,
             cap: Farads::ZERO,
-            children: Vec::new(),
+            first_child: NIL,
+            last_child: NIL,
+            next_sibling: NIL,
             output: false,
-            name_next: name_index::NIL,
-            bucket_head: name_index::NIL,
+            name_hash,
+            name_next: NIL,
+            bucket_head: NIL,
+        });
+        name_index::push(&mut self.nodes);
+        if let Some(p) = parent {
+            self.append_child(p.0, id);
         }
+        NodeId(id)
     }
-}
 
-/// Equality of the node payload; the name-index links are derived state
-/// and do not take part.
-impl PartialEq for NodeData {
-    fn eq(&self, other: &Self) -> bool {
-        self.name == other.name
-            && self.parent == other.parent
-            && self.branch == other.branch
-            && self.cap == other.cap
-            && self.children == other.children
-            && self.output == other.output
+    /// Links node `child` in as the last child of node `parent` in `O(1)`.
+    pub(crate) fn append_child(&mut self, parent: usize, child: usize) {
+        let last = self.nodes[parent].last_child;
+        if last == NIL {
+            self.nodes[parent].first_child = child as u32;
+        } else {
+            self.nodes[last as usize].next_sibling = child as u32;
+        }
+        self.nodes[parent].last_child = child as u32;
     }
 }
 
@@ -245,10 +336,7 @@ pub(crate) mod name_index {
     use std::hash::BuildHasher;
     use std::sync::OnceLock;
 
-    use super::NodeData;
-
-    /// Chain terminator.
-    pub(crate) const NIL: u32 = u32::MAX;
+    use super::{NodeData, NodeTable, NIL};
 
     /// Hash of a node name: the standard library's keyed hash under one
     /// random key per process.  Names come from netlists, so the key keeps
@@ -282,7 +370,8 @@ pub(crate) mod name_index {
         }
     }
 
-    /// Rebuilds every link from the names (after nodes were removed).
+    /// Rebuilds every link from the stored hashes (after nodes were
+    /// removed).
     pub(crate) fn relink(nodes: &mut [NodeData]) {
         if nodes.is_empty() {
             return;
@@ -296,20 +385,16 @@ pub(crate) mod name_index {
         }
     }
 
-    /// Index of the node called `name`, if any.
-    pub(crate) fn find(nodes: &[NodeData], name: &str) -> Option<usize> {
-        find_hashed(nodes, name, hash(name))
-    }
-
-    /// [`find`] with the name's [`hash`] already at hand.
-    pub(crate) fn find_hashed(nodes: &[NodeData], name: &str, name_hash: u32) -> Option<usize> {
+    /// Index of the node called `name`, whose [`hash`] is `name_hash`.
+    pub(crate) fn find_hashed(table: &NodeTable, name: &str, name_hash: u32) -> Option<usize> {
+        let nodes = &table.nodes;
         if nodes.is_empty() {
             return None;
         }
         let mut i = nodes[name_hash as usize & mask(nodes.len())].bucket_head;
         while i != NIL {
             let n = &nodes[i as usize];
-            if n.name_hash == name_hash && n.name == name {
+            if n.name_hash == name_hash && table.name(i as usize) == name {
                 return Some(i as usize);
             }
             i = n.name_next;
@@ -317,6 +402,83 @@ pub(crate) mod name_index {
         None
     }
 }
+
+/// Iterator over the children of one node in insertion order, returned by
+/// [`RcTree::children`].
+#[derive(Debug, Clone)]
+pub struct Children<'a> {
+    nodes: &'a [NodeData],
+    next: u32,
+}
+
+impl Iterator for Children<'_> {
+    type Item = NodeId;
+
+    fn next(&mut self) -> Option<NodeId> {
+        if self.next == NIL {
+            return None;
+        }
+        let cur = self.next as usize;
+        self.next = self.nodes[cur].next_sibling;
+        Some(NodeId(cur))
+    }
+}
+
+impl FusedIterator for Children<'_> {}
+
+/// Depth-first pre-order over a tree (children in insertion order),
+/// returned by [`RcTree::preorder_iter`].
+///
+/// The walk follows the first-child, next-sibling and parent links, so it
+/// allocates nothing and keeps no stack: after a leaf it climbs to the
+/// nearest ancestor that has a next sibling.  Each branch is descended once
+/// and climbed at most once, so a full walk is `O(n)`.
+#[derive(Debug, Clone)]
+pub struct Preorder<'a> {
+    nodes: &'a [NodeData],
+    next: u32,
+    remaining: usize,
+}
+
+impl<'a> Preorder<'a> {
+    fn new(nodes: &'a [NodeData]) -> Self {
+        Preorder {
+            nodes,
+            next: if nodes.is_empty() { NIL } else { 0 },
+            remaining: nodes.len(),
+        }
+    }
+}
+
+impl Iterator for Preorder<'_> {
+    type Item = NodeId;
+
+    fn next(&mut self) -> Option<NodeId> {
+        if self.next == NIL {
+            return None;
+        }
+        let cur = self.next as usize;
+        let mut n = &self.nodes[cur];
+        self.next = n.first_child;
+        while self.next == NIL {
+            self.next = n.next_sibling;
+            match n.parent {
+                Some(p) if self.next == NIL => n = &self.nodes[p.0],
+                _ => break,
+            }
+        }
+        self.remaining -= 1;
+        Some(NodeId(cur))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
+impl ExactSizeIterator for Preorder<'_> {}
+
+impl FusedIterator for Preorder<'_> {}
 
 /// A validated RC tree network.
 ///
@@ -336,41 +498,78 @@ pub(crate) mod name_index {
 /// # Ok(())
 /// # }
 /// ```
+///
+/// See the [module documentation](self) for how a tree is laid out in
+/// memory.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RcTree {
-    pub(crate) nodes: Vec<NodeData>,
-    /// Flattened traversal arrays derived from `nodes`; rebuilt on
-    /// construction, excluded from equality (it is a pure function of the
-    /// node table).
-    ///
-    /// NOTE for restoring the (currently placeholder) `serde` feature: a
-    /// plain derived `Deserialize` would leave this cache empty — the impl
-    /// must route through [`RcTree::from_nodes`] so the cache is rebuilt,
-    /// and recompute each node's `name_hash` and call
-    /// [`name_index::relink`], since the hash key is per process.
-    #[cfg_attr(feature = "serde", serde(skip))]
-    pub(crate) cache: TraversalCache,
+    pub(crate) table: NodeTable,
+    /// Flattened traversal arrays derived from the node table, built on the
+    /// first [`RcTree::traversal`] call; excluded from equality (it is a
+    /// pure function of the node table).
+    pub(crate) cache: OnceLock<TraversalCache>,
 }
 
+/// Equality of the node payload: names (by content), parents, branches,
+/// capacitances, child order and output marks.  The name-index links and
+/// the traversal cache are derived state and do not take part.
 impl PartialEq for RcTree {
     fn eq(&self, other: &Self) -> bool {
-        self.nodes == other.nodes
+        let (a, b) = (&self.table, &other.table);
+        a.nodes.len() == b.nodes.len()
+            && a.nodes.iter().zip(&b.nodes).enumerate().all(|(i, (x, y))| {
+                a.name(i) == b.name(i)
+                    && x.parent == y.parent
+                    && x.branch == y.branch
+                    && x.cap == y.cap
+                    && x.first_child == y.first_child
+                    && x.next_sibling == y.next_sibling
+                    && x.output == y.output
+            })
     }
 }
 
 impl RcTree {
-    /// Builds a tree from a validated node table, deriving the traversal
-    /// cache (the only construction path; used by
-    /// [`RcTreeBuilder`](crate::builder::RcTreeBuilder)).
-    pub(crate) fn from_nodes(nodes: Vec<NodeData>) -> Self {
-        let cache = TraversalCache::build(&nodes);
-        RcTree { nodes, cache }
+    /// Wraps a validated node table (the only construction path; used by
+    /// [`RcTreeBuilder`](crate::builder::RcTreeBuilder)).  The traversal
+    /// cache is left unbuilt.
+    pub(crate) fn from_table(table: NodeTable) -> Self {
+        RcTree {
+            table,
+            cache: OnceLock::new(),
+        }
     }
 
-    /// The flattened traversal arrays shared by the whole-tree algorithms.
+    /// The flattened traversal arrays shared by the whole-tree algorithms,
+    /// built from the node table on the first call.
     pub(crate) fn traversal(&self) -> &TraversalCache {
-        &self.cache
+        self.cache
+            .get_or_init(|| TraversalCache::build(&self.table.nodes))
+    }
+
+    /// Whether the built traversal cache has the same structure as one
+    /// built from scratch: pre-order, parents and subtree intervals equal
+    /// exactly, and the per-node element values match bit for bit.  The
+    /// incremental engine patches the cache in place on grafts and prunes
+    /// and checks this after each one in debug builds; a cache that is not
+    /// yet built trivially matches.
+    pub(crate) fn cache_matches_rebuild(&self) -> bool {
+        let Some(cache) = self.cache.get() else {
+            return true;
+        };
+        let fresh = TraversalCache::build(&self.table.nodes);
+        let bits = |a: &[f64], b: &[f64]| {
+            a.iter()
+                .map(|x| x.to_bits())
+                .eq(b.iter().map(|x| x.to_bits()))
+        };
+        cache.preorder == fresh.preorder
+            && cache.parent == fresh.parent
+            && cache.pre_index == fresh.pre_index
+            && cache.subtree_end == fresh.subtree_end
+            && bits(&cache.branch_r, &fresh.branch_r)
+            && bits(&cache.branch_c, &fresh.branch_c)
+            && bits(&cache.node_cap, &fresh.node_cap)
     }
 
     /// Rebuilds every piece of derived state (the traversal cache) from the
@@ -378,11 +577,14 @@ impl RcTree {
     ///
     /// The returned tree is structurally identical to `self`
     /// (`rebuilt == *self` under [`PartialEq`], which compares node tables
-    /// only) but carries freshly recomputed prefix sums.  This is the
+    /// only) but carries freshly recomputed prefix sums, built eagerly
+    /// whether or not `self` had built its own.  This is the
     /// rebuild-and-rerun oracle against which the incremental engine
     /// ([`crate::incremental`]) is validated and benchmarked.
     pub fn rebuild(&self) -> RcTree {
-        RcTree::from_nodes(self.nodes.clone())
+        let table = self.table.clone();
+        let cache = OnceLock::from(TraversalCache::build(&table.nodes));
+        RcTree { table, cache }
     }
 
     /// The input (root) node where the step excitation is applied.
@@ -392,22 +594,23 @@ impl RcTree {
 
     /// Number of nodes in the tree, including the input.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.table.nodes.len()
     }
 
     /// Number of branches (elements) in the tree.
     pub fn branch_count(&self) -> usize {
-        self.nodes.len().saturating_sub(1)
+        self.node_count().saturating_sub(1)
     }
 
     /// Iterator over all node ids, input first, in insertion order.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.nodes.len()).map(NodeId)
+        (0..self.node_count()).map(NodeId)
     }
 
     /// Iterator over the node ids marked as outputs.
     pub fn outputs(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes
+        self.table
+            .nodes
             .iter()
             .enumerate()
             .filter(|(_, n)| n.output)
@@ -421,7 +624,8 @@ impl RcTree {
     /// Returns [`CoreError::NodeNotFound`] if `node` does not belong to this
     /// tree.
     pub fn name(&self, node: NodeId) -> Result<&str> {
-        Ok(&self.data(node)?.name)
+        self.check(node)?;
+        Ok(self.table.name(node.0))
     }
 
     /// Looks up a node by name, in expected `O(1)` time.
@@ -430,7 +634,8 @@ impl RcTree {
     ///
     /// Returns [`CoreError::NameNotFound`] if no node has the given name.
     pub fn node_by_name(&self, name: &str) -> Result<NodeId> {
-        name_index::find(&self.nodes, name)
+        self.table
+            .find(name)
             .map(NodeId)
             .ok_or_else(|| CoreError::NameNotFound {
                 name: name.to_string(),
@@ -468,14 +673,17 @@ impl RcTree {
         Ok(self.data(node)?.cap)
     }
 
-    /// Returns the children of a node in insertion order.
+    /// Returns an iterator over the children of a node in insertion order.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::NodeNotFound`] if `node` does not belong to this
     /// tree.
-    pub fn children(&self, node: NodeId) -> Result<&[NodeId]> {
-        Ok(&self.data(node)?.children)
+    pub fn children(&self, node: NodeId) -> Result<Children<'_>> {
+        Ok(Children {
+            nodes: &self.table.nodes,
+            next: self.data(node)?.first_child,
+        })
     }
 
     /// Returns `true` if the node is marked as an output.
@@ -492,9 +700,9 @@ impl RcTree {
     /// distributed capacitance of every line (the quantity `C_T` of
     /// Section IV).
     pub fn total_capacitance(&self) -> Farads {
-        let lumped: Farads = self.nodes.iter().map(|n| n.cap).sum();
-        let distributed: Farads = self
-            .nodes
+        let nodes = &self.table.nodes;
+        let lumped: Farads = nodes.iter().map(|n| n.cap).sum();
+        let distributed: Farads = nodes
             .iter()
             .filter_map(|n| n.branch.as_ref())
             .map(|b| b.capacitance())
@@ -504,7 +712,8 @@ impl RcTree {
 
     /// Total series resistance of all branches in the tree.
     pub fn total_resistance(&self) -> Ohms {
-        self.nodes
+        self.table
+            .nodes
             .iter()
             .filter_map(|n| n.branch.as_ref())
             .map(|b| b.resistance())
@@ -523,7 +732,7 @@ impl RcTree {
         let mut cur = Some(node);
         while let Some(id) = cur {
             path.push(id);
-            cur = self.nodes[id.0].parent;
+            cur = self.table.nodes[id.0].parent;
         }
         path.reverse();
         Ok(path)
@@ -538,7 +747,7 @@ impl RcTree {
     /// tree.
     pub fn resistance_from_input(&self, node: NodeId) -> Result<Ohms> {
         self.check(node)?;
-        Ok(Ohms::new(self.cache.path_r[node.0]))
+        Ok(Ohms::new(self.traversal().path_r[node.0]))
     }
 
     /// Depth of a node (number of branches between it and the input).
@@ -551,13 +760,17 @@ impl RcTree {
         Ok(self.path_from_input(node)?.len() - 1)
     }
 
-    /// Returns the node ids in depth-first pre-order starting at the input.
+    /// Iterates over the node ids in depth-first pre-order starting at the
+    /// input, children in insertion order.  Allocates nothing and does not
+    /// build the traversal cache.
+    pub fn preorder_iter(&self) -> Preorder<'_> {
+        Preorder::new(&self.table.nodes)
+    }
+
+    /// Returns the node ids in depth-first pre-order starting at the input
+    /// (the order of [`RcTree::preorder_iter`], collected).
     pub fn preorder(&self) -> Vec<NodeId> {
-        self.cache
-            .preorder
-            .iter()
-            .map(|&i| NodeId(i as usize))
-            .collect()
+        self.preorder_iter().collect()
     }
 
     /// Returns the node ids in depth-first post-order (children before
@@ -606,8 +819,9 @@ impl RcTree {
     pub fn is_descendant(&self, descendant: NodeId, ancestor: NodeId) -> Result<bool> {
         self.check(ancestor)?;
         self.check(descendant)?;
-        let (start, end) = self.cache.interval(ancestor.0);
-        let pos = self.cache.pre_index[descendant.0] as usize;
+        let cache = self.traversal();
+        let (start, end) = cache.interval(ancestor.0);
+        let pos = cache.pre_index[descendant.0] as usize;
         Ok(start <= pos && pos < end)
     }
 
@@ -620,7 +834,7 @@ impl RcTree {
     /// tree.
     pub fn subtree_size(&self, node: NodeId) -> Result<usize> {
         self.check(node)?;
-        let (start, end) = self.cache.interval(node.0);
+        let (start, end) = self.traversal().interval(node.0);
         Ok(end - start)
     }
 
@@ -635,17 +849,18 @@ impl RcTree {
     /// tree.
     pub fn subtree_capacitance(&self, node: NodeId) -> Result<Farads> {
         self.check(node)?;
-        Ok(Farads::new(self.cache.down_cap[node.0]))
+        Ok(Farads::new(self.traversal().down_cap[node.0]))
     }
 
     pub(crate) fn data(&self, node: NodeId) -> Result<&NodeData> {
-        self.nodes
+        self.table
+            .nodes
             .get(node.0)
             .ok_or(CoreError::NodeNotFound { node })
     }
 
     pub(crate) fn check(&self, node: NodeId) -> Result<()> {
-        if node.0 < self.nodes.len() {
+        if node.0 < self.node_count() {
             Ok(())
         } else {
             Err(CoreError::NodeNotFound { node })
@@ -662,10 +877,11 @@ impl fmt::Display for RcTree {
             self.branch_count(),
             self.total_capacitance()
         )?;
-        for id in self.preorder() {
-            let n = &self.nodes[id.0];
-            let indent = self.path_from_input(id).map(|p| p.len() - 1).unwrap_or(0);
-            write!(f, "{:indent$}{} ({})", "", n.name, id, indent = indent * 2)?;
+        for id in self.preorder_iter() {
+            let n = &self.table.nodes[id.0];
+            let indent = self.depth(id).unwrap_or(0);
+            let name = self.table.name(id.0);
+            write!(f, "{:indent$}{name} ({id})", "", indent = indent * 2)?;
             if let Some(branch) = &n.branch {
                 match branch {
                     Branch::Resistor { resistance } => write!(f, " -- R {resistance}")?,
@@ -770,6 +986,35 @@ mod tests {
     }
 
     #[test]
+    fn children_keep_insertion_order() {
+        let (tree, k, e) = fig3();
+        let branching = tree.node_by_name("after_r2").unwrap();
+        let n3 = tree.node_by_name("after_r3").unwrap();
+        let children: Vec<_> = tree.children(branching).unwrap().collect();
+        assert_eq!(children, vec![n3, e]);
+        assert_eq!(tree.children(k).unwrap().next(), None);
+        let order: Vec<_> = tree.preorder_iter().collect();
+        assert_eq!(order, tree.preorder());
+        assert_eq!(order.iter().position(|&id| id == k), Some(4));
+        assert_eq!(*order.last().unwrap(), e);
+    }
+
+    #[test]
+    fn traversal_cache_is_built_on_first_use() {
+        let (tree, k, _) = fig3();
+        let copy = tree.clone();
+        let walked = copy.preorder_iter().count();
+        let _ = copy.children(k).unwrap().count();
+        let _ = copy.node_by_name("k").unwrap();
+        assert_eq!(walked, copy.node_count());
+        assert!(copy.cache.get().is_none(), "walks need no cache");
+        assert_eq!(copy.subtree_size(k).unwrap(), 1);
+        assert!(copy.cache.get().is_some(), "the first query builds it");
+        assert!(copy.clone().cache.get().is_some(), "a clone keeps it");
+        assert!(tree.rebuild().cache.get().is_some(), "rebuild builds it");
+    }
+
+    #[test]
     fn postorder_ends_at_input() {
         let (tree, _, _) = fig3();
         let order = tree.postorder();
@@ -831,7 +1076,7 @@ mod tests {
             let mut stack = vec![id];
             while let Some(cur) = stack.pop() {
                 total += tree.capacitance(cur).unwrap();
-                for &child in tree.children(cur).unwrap() {
+                for child in tree.children(cur).unwrap() {
                     if let Some(branch) = tree.branch(child).unwrap() {
                         total += branch.capacitance();
                     }
@@ -870,7 +1115,12 @@ mod tests {
         let (tree, k, e) = fig3();
         let rebuilt = tree.rebuild();
         assert_eq!(rebuilt, tree);
-        assert_eq!(rebuilt.preorder(), tree.preorder());
+        assert_eq!(rebuilt.traversal().preorder, tree.traversal().preorder);
+        assert_eq!(
+            rebuilt.traversal().subtree_end,
+            tree.traversal().subtree_end
+        );
+        assert!(tree.cache_matches_rebuild());
         assert_eq!(
             rebuilt.resistance_from_input(k).unwrap(),
             tree.resistance_from_input(k).unwrap()

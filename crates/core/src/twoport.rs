@@ -49,7 +49,6 @@ use crate::units::{Farads, OhmSeconds, Ohms, Seconds};
 /// This is the five-component vector `C_T, T_P, R₂₂, T_D2, T_R2·R₂₂` passed
 /// around by the paper's APL programs.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TwoPort {
     total_cap: Farads,
     t_p: Seconds,

@@ -30,7 +30,6 @@ macro_rules! scalar_newtype {
     ($(#[$doc:meta])* $name:ident, $unit:expr) => {
         $(#[$doc])*
         #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-        #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
         pub struct $name(f64);
 
         impl $name {
@@ -294,7 +293,6 @@ impl Div<Farads> for Seconds {
 /// "Practical Algorithms" in the paper); this newtype keeps that intermediate
 /// dimensionally distinct from a plain time.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OhmSeconds(f64);
 
 impl OhmSeconds {

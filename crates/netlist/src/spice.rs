@@ -251,7 +251,8 @@ pub(crate) fn build_tree(
     // Depth-first elaboration from the input; `node_of[v]` is the tree
     // node of id `v` once visited (so it doubles as the visited set).
     let mut builder = RcTreeBuilder::with_input_name(input_name);
-    builder.reserve(n - 1);
+    let name_bytes: usize = ids.keys().map(|name| name.len()).sum();
+    builder.reserve(n - 1, name_bytes - input_name.len());
     let mut node_of: Vec<Option<NodeId>> = vec![None; n];
     node_of[0] = Some(builder.input());
     let mut used = vec![false; branches.len()];
@@ -350,7 +351,7 @@ pub fn write_spice(tree: &RcTree, title: &str) -> String {
     let mut u_count = 0usize;
     let mut c_count = 0usize;
 
-    for id in tree.preorder() {
+    for id in tree.preorder_iter() {
         if id == tree.input() {
             continue;
         }
@@ -378,7 +379,7 @@ pub fn write_spice(tree: &RcTree, title: &str) -> String {
             }
         }
     }
-    for id in tree.preorder() {
+    for id in tree.preorder_iter() {
         let cap = tree.capacitance(id).expect("valid node");
         if !cap.is_zero() {
             c_count += 1;

@@ -156,7 +156,7 @@ impl LumpedNetwork {
         let mut net = LumpedNetwork::new();
         net.tree_index.insert(tree.input(), None);
 
-        for id in tree.preorder() {
+        for id in tree.preorder_iter() {
             if id == tree.input() {
                 continue;
             }

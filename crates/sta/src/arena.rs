@@ -276,7 +276,7 @@ impl NetArena {
         self.node_cap.push(tree.capacitance(tree.input())?.value());
         pos[tree.input().index()] = 1;
 
-        for id in tree.preorder() {
+        for id in tree.preorder_iter() {
             if id == tree.input() {
                 continue;
             }

@@ -618,7 +618,7 @@ fn scale_tree(tree: &RcTree, r_scale: f64, c_scale: f64) -> Result<RcTree> {
     if tree.is_output(input)? {
         b.mark_output(new_input)?;
     }
-    for id in tree.preorder() {
+    for id in tree.preorder_iter() {
         if id == input {
             continue;
         }

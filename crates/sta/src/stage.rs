@@ -461,7 +461,7 @@ fn augmented_arrays(
     node_cap.push(interconnect.capacitance(interconnect.input())?.value() * scales.wire_c);
     pos[interconnect.input().index()] = 1;
 
-    for id in interconnect.preorder() {
+    for id in interconnect.preorder_iter() {
         if id == interconnect.input() {
             // The raw input's name is dropped by the augmentation (the node
             // is merged into the driver output), so it cannot collide.
@@ -527,7 +527,7 @@ pub fn prepend_driver(
     map[interconnect.input().index()] = drv_out;
     b.add_capacitance(drv_out, interconnect.capacitance(interconnect.input())?)?;
 
-    for id in interconnect.preorder() {
+    for id in interconnect.preorder_iter() {
         if id == interconnect.input() {
             continue;
         }

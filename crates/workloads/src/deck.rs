@@ -125,7 +125,7 @@ fn render_d_net(out: &mut String, name: &str, tree: &RcTree) {
     }
     out.push_str("*CAP\n");
     let mut index = 0;
-    for id in tree.preorder() {
+    for id in tree.preorder_iter() {
         let cap = tree.capacitance(id).expect("valid node");
         if !cap.is_zero() {
             index += 1;
@@ -138,7 +138,7 @@ fn render_d_net(out: &mut String, name: &str, tree: &RcTree) {
     }
     out.push_str("*RES\n");
     let mut index = 0;
-    for id in tree.preorder() {
+    for id in tree.preorder_iter() {
         if id == tree.input() {
             continue;
         }

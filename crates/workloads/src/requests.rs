@@ -47,8 +47,7 @@ fn net_nodes(nets: &[(String, RcTree)]) -> Vec<NetNodes> {
         .map(|(name, tree)| NetNodes {
             name: name.clone(),
             nodes: tree
-                .preorder()
-                .into_iter()
+                .preorder_iter()
                 .map(|id| tree.name(id).expect("valid node").to_string())
                 .collect(),
         })
